@@ -14,8 +14,8 @@ from .core import (EventKind, LabelStream, PosteriorStream, ReferenceAnnotation,
                    subsampled_to_feature_index)
 from .energy_vad import energy_vad
 from .errors import (BadMagic, CtcSegError, EmptyAudio, EmptyStream, FormatError,
-                     InvalidConfig, InvalidState, RowSumViolation, SinkError,
-                     TruncatedFile, VersionMismatch)
+                     InvalidConfig, InvalidState, NonFiniteScore, ProbabilityOutOfRange,
+                     RowError, RowSumViolation, SinkError, TruncatedFile, VersionMismatch)
 from .evaluate import EvalReport, evaluate, measure_rtf
 from .greedy import ctc_collapse, greedy_decode, greedy_label
 from .io import (PosteriorReader, read_annotation, read_posterior_file,
@@ -30,8 +30,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BadMagic", "CtcSegError", "EmptyAudio", "EmptyStream", "EvalReport",
     "EventKind", "FormatError", "InvalidConfig", "InvalidState", "LabelStream",
-    "Mode", "OnlineSegmenter", "PosteriorReader", "PosteriorStream",
-    "ReferenceAnnotation", "RowSumViolation", "Segment", "SegmentEvent",
+    "Mode", "NonFiniteScore", "OnlineSegmenter", "PosteriorReader", "PosteriorStream",
+    "ProbabilityOutOfRange", "ReferenceAnnotation", "RowError", "RowSumViolation",
+    "Segment", "SegmentEvent",
     "SegmenterConfig", "SinkError", "TruncatedFile", "VersionMismatch",
     "clip_to_stream", "ctc_collapse", "encoded_length", "energy_vad", "evaluate",
     "filter_short_segments", "greedy_decode", "greedy_label", "measure_rtf",

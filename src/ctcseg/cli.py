@@ -7,6 +7,7 @@ level. Exit codes: 0 success, 1 input/format errors, 2 bad flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -15,14 +16,16 @@ import statistics
 import sys
 from pathlib import Path
 
-from .core import ReferenceAnnotation, SegmenterConfig
-from .errors import CtcSegError
+import numpy as np
+
+from .core import LabelStream, ReferenceAnnotation, Segment, SegmenterConfig
+from .errors import CtcSegError, InvalidConfig
 from .evaluate import evaluate, measure_rtf
 from .energy_vad import energy_vad
-from .greedy import greedy_label
 from .io import (PosteriorReader, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
-from .segmenter import OnlineSegmenter, segment_posteriors
+from .segmenter import (OnlineSegmenter, filter_short_segments, segment_offline,
+                        segment_posteriors)
 from .simulate import synthesize_posteriors
 
 logger = logging.getLogger("ctcseg")
@@ -127,6 +130,25 @@ def _resolve_cfg(args, blank_id: int, subsample_factor: int) -> SegmenterConfig:
     )
 
 
+def _reader_cfg(args, reader: PosteriorReader) -> SegmenterConfig:
+    """The config for one stream: --blank-id over the header's, checked against its labels."""
+    blank_id = getattr(args, "blank_id", None)
+    if blank_id is None:
+        blank_id = reader.blank_id
+    if not 0 <= blank_id < reader.num_labels:
+        raise InvalidConfig(f"blank_id {blank_id} out of range for {reader.num_labels} labels")
+    return _resolve_cfg(args, blank_id, reader.subsample_factor)
+
+
+def _offline_segments(reader: PosteriorReader, cfg: SegmenterConfig) -> list[Segment]:
+    """Greedy labels block by block, then the offline segmenter and length filter."""
+    labels = LabelStream(np.concatenate([np.empty(0, dtype=np.intp), *reader.labels()]),
+                         blank_id=cfg.blank_id)
+    segments = segment_offline(labels, cfg, reader.total_feature_frames,
+                               frame_shift_ms=reader.frame_shift_ms)
+    return filter_short_segments(segments, labels, cfg)
+
+
 def _open_sink(args):
     if args.output is None:
         return sys.stdout, False
@@ -137,55 +159,46 @@ def cmd_segment(args) -> int:
     if args.input is None and not args.stream:
         print("error: give --input PATH or --stream", file=sys.stderr)
         return 2
-    if args.mode == "online":
-        return _segment_online(args)
-
-    stream = _read_input_stream(args)
-    if args.blank_id is not None:
-        stream = dataclasses.replace(stream, blank_id=args.blank_id)
-    cfg = _resolve_cfg(args, stream.blank_id, stream.subsample_factor)
-    segments = segment_posteriors(stream, cfg)
-    logger.info("segmented %d steps into %d segments", stream.num_steps, len(segments))
-    sink, owned = _open_sink(args)
-    try:
-        write_segments(segments, args.format, sink)
-    finally:
-        if owned:
-            sink.close()
-    return 0
-
-
-def _read_input_stream(args):
-    if args.input is not None:
-        return read_posterior_file(args.input)
-    return PosteriorReader(sys.stdin.buffer).to_stream()
-
-
-def _segment_online(args) -> int:
-    if args.input is not None:
-        source = open(args.input, "rb")
-        close_source = True
-    else:
-        source = sys.stdin.buffer
-        close_source = False
-    sink, owned = _open_sink(args)
-    try:
+    with contextlib.ExitStack() as stack:
+        if args.input is not None:
+            source = stack.enter_context(open(args.input, "rb"))
+        else:
+            source = sys.stdin.buffer
         reader = PosteriorReader(source)
-        blank_id = args.blank_id if args.blank_id is not None else reader.blank_id
-        cfg = _resolve_cfg(args, blank_id, reader.subsample_factor)
-        segmenter = OnlineSegmenter(cfg, frame_shift_ms=reader.frame_shift_ms)
-        for row in reader:
-            for event in segmenter.step(greedy_label(row)):
-                print(_format_event(event, reader.frame_shift_ms), file=sink, flush=True)
-        total = reader.num_frames * reader.subsample_factor
-        for event in segmenter.finish(total):
-            print(_format_event(event, reader.frame_shift_ms), file=sink, flush=True)
-    finally:
-        if close_source:
-            source.close()
+        cfg = _reader_cfg(args, reader)
+        sink, owned = _open_sink(args)
         if owned:
-            sink.close()
+            stack.enter_context(sink)
+        try:
+            if args.mode == "online":
+                _segment_online(reader, cfg, sink)
+            else:
+                segments = _offline_segments(reader, cfg)
+                logger.info("segmented %d steps into %d segments", reader.num_frames,
+                            len(segments))
+                write_segments(segments, args.format, sink)
+                sink.flush()
+        except BrokenPipeError:
+            # The reader of our output has gone (`| head`): stop quietly, and
+            # point the sink at devnull so the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
     return 0
+
+
+def _segment_online(reader: PosteriorReader, cfg: SegmenterConfig, sink) -> None:
+    """Step each label as its block arrives; write and flush each block's events at once."""
+    segmenter = OnlineSegmenter(cfg, frame_shift_ms=reader.frame_shift_ms)
+    step = segmenter.step
+    for labels in reader.labels():
+        _write_events([ev for label in labels.tolist() for ev in step(label)],
+                      reader.frame_shift_ms, sink)
+    _write_events(segmenter.finish(reader.total_feature_frames), reader.frame_shift_ms, sink)
+
+
+def _write_events(events, frame_shift_ms: float, sink) -> None:
+    if events:
+        sink.write("".join(_format_event(ev, frame_shift_ms) + "\n" for ev in events))
+        sink.flush()
 
 
 def _format_event(event, frame_shift_ms: float) -> str:
@@ -223,23 +236,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    stream = read_posterior_file(args.input)
-    if args.blank_id is not None:
-        stream = dataclasses.replace(stream, blank_id=args.blank_id)
-    ref = read_annotation(args.ref)
-    r = stream.subsample_factor
-    total = stream.total_feature_frames
-    ann_frames = int(round(ref.total_duration_sec * 1000.0 / stream.frame_shift_ms))
-    if abs(ann_frames - total) > r:
-        print(
-            f"error: annotation covers {ann_frames} frames but the stream has {total} "
-            f"(> 1 posterior frame apart)", file=sys.stderr,
-        )
-        return 1
-
-    cfg = _resolve_cfg(args, stream.blank_id, r)
-    hyp = segment_posteriors(stream, cfg)
-    report = evaluate(hyp, ref, stream.frame_shift_ms, total)
+    with open(args.input, "rb") as source:
+        reader = PosteriorReader(source)
+        ref = read_annotation(args.ref)
+        r = reader.subsample_factor
+        total = reader.total_feature_frames
+        frame_shift_ms = reader.frame_shift_ms
+        ann_frames = int(round(ref.total_duration_sec * 1000.0 / frame_shift_ms))
+        if abs(ann_frames - total) > r:
+            print(
+                f"error: annotation covers {ann_frames} frames but the stream has {total} "
+                f"(> 1 posterior frame apart)", file=sys.stderr,
+            )
+            return 1
+        hyp = _offline_segments(reader, _reader_cfg(args, reader))
+    report = evaluate(hyp, ref, frame_shift_ms, total)
 
     if not args.compare:
         print(json.dumps(report.as_dict(), sort_keys=True))
@@ -249,7 +260,7 @@ def cmd_eval(args) -> int:
         print("error: --compare requires --wav", file=sys.stderr)
         return 2
     samples, rate = read_wav_mono(args.wav)
-    wav_frames = int(round(len(samples) / rate * 1000.0 / stream.frame_shift_ms))
+    wav_frames = int(round(len(samples) / rate * 1000.0 / frame_shift_ms))
     if abs(wav_frames - total) > r:
         print(
             f"error: WAV covers {wav_frames} frames but the stream has {total} "
@@ -258,11 +269,11 @@ def cmd_eval(args) -> int:
         return 1
     energy_segments = [
         dataclasses.replace(s, t_end=min(s.t_end, total))
-        for s in energy_vad(samples, rate, stream.frame_shift_ms,
+        for s in energy_vad(samples, rate, frame_shift_ms,
                             args.energy_threshold, args.hangover)
         if s.t_start <= total
     ]
-    energy_report = evaluate(energy_segments, ref, stream.frame_shift_ms, total)
+    energy_report = evaluate(energy_segments, ref, frame_shift_ms, total)
     print(json.dumps(
         {"ctc_blank_run": report.as_dict(), "energy_vad": energy_report.as_dict()},
         sort_keys=True,
@@ -288,30 +299,37 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         print("error: --repeat must be >= 1", file=sys.stderr)
         return 2
-    if args.input is not None:
-        stream = read_posterior_file(args.input)
-    else:
-        if args.duration <= 0:
-            print("error: zero-length input", file=sys.stderr)
-            return 1
-        stream = _synthetic_bench_stream(args)
-    if stream.num_steps == 0:
-        print("error: zero-length input", file=sys.stderr)
-        return 1
-
-    cfg = _resolve_cfg(args, stream.blank_id, stream.subsample_factor)
-    audio_sec = stream.duration_sec
     if args.rtf == "e2e":
         if args.input is None:
             print("error: --rtf e2e needs --input (it times file reading too)",
                   file=sys.stderr)
             return 2
+        with open(args.input, "rb") as source:
+            reader = PosteriorReader(source)  # the header only
+        num_steps = reader.num_frames
+        audio_sec = reader.total_feature_frames * reader.frame_shift_ms / 1000.0
+        cfg = _reader_cfg(args, reader)
 
         def work():
-            segment_posteriors(read_posterior_file(args.input), cfg)
+            with open(args.input, "rb") as source:
+                _offline_segments(PosteriorReader(source), cfg)
     else:
+        if args.input is not None:
+            stream = read_posterior_file(args.input)
+        elif args.duration <= 0:
+            print("error: zero-length input", file=sys.stderr)
+            return 1
+        else:
+            stream = _synthetic_bench_stream(args)
+        num_steps = stream.num_steps
+        audio_sec = stream.duration_sec
+        cfg = _resolve_cfg(args, stream.blank_id, stream.subsample_factor)
+
         def work():
             segment_posteriors(stream, cfg)
+    if num_steps == 0:
+        print("error: zero-length input", file=sys.stderr)
+        return 1
 
     runs = [measure_rtf(work, audio_sec) for _ in range(args.repeat)]
     median = statistics.median(runs)
@@ -320,10 +338,10 @@ def cmd_bench(args) -> int:
         "mode": args.rtf,
         "repeats": args.repeat,
         "audio_sec": audio_sec,
-        "num_frames": stream.num_steps,
+        "num_frames": num_steps,
         "rtf_median": median,
         "rtf_runs": runs,
-        "frames_per_sec": stream.num_steps / elapsed if elapsed > 0 else 0.0,
+        "frames_per_sec": num_steps / elapsed if elapsed > 0 else 0.0,
     }, sort_keys=True))
     return 0
 

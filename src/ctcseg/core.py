@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NonFiniteScore, ProbabilityOutOfRange, RowSumViolation
 
 # Tolerance for "rows sum to one" checks on probability streams.
 PROB_SUM_TOLERANCE = 1e-4
@@ -33,6 +33,43 @@ def clip_to_stream(t: int, t_min: int, t_max: int) -> int:
     if t_min > t_max:
         raise ValueError(f"empty clip range [{t_min}, {t_max}]")
     return min(max(t, t_min), t_max)
+
+
+def validate_rows(rows: np.ndarray, probabilities: bool, first_row: int = 1) -> None:
+    """Check a (steps, labels) float32 block of score rows; raise on the first bad one.
+
+    Every row must be finite; probability rows must also sum to one within
+    PROB_SUM_TOLERANCE and lie in [0, 1], checked in that order. The error
+    names the row as first_row + its index in the block and carries that
+    number as .row. The common all-good case costs a few whole-block
+    reductions.
+    """
+    if not rows.shape[0]:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite scores
+        sums = rows.sum(axis=1)
+        deviation = np.abs(sums - 1.0)  # NaN for a row holding NaN or inf
+    if probabilities:
+        # NaN fails every comparison, so a row holding NaN misses this fast path too.
+        if rows.min() >= 0.0 and rows.max() <= 1.0 and deviation.max() <= PROB_SUM_TOLERANCE:
+            return
+        bad = ((rows.min(axis=1) < 0.0) | (rows.max(axis=1) > 1.0)
+               | ~(deviation <= PROB_SUM_TOLERANCE))
+    else:
+        # A finite row whose float32 sum overflows is fine: scan only rows whose
+        # sum is not finite, element by element.
+        bad = ~np.isfinite(sums)
+        if bad.any():
+            bad[bad] = ~np.isfinite(rows[bad]).all(axis=1)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    row, n = rows[i], first_row + i
+    if not np.isfinite(row).all():
+        raise NonFiniteScore(f"row {n} holds a non-finite score", n)
+    if deviation[i] > PROB_SUM_TOLERANCE:
+        raise RowSumViolation(f"row {n} sums to {sums[i]:.6f}, not 1", n)
+    raise ProbabilityOutOfRange(f"row {n} holds a probability outside [0, 1]", n)
 
 
 def first_frame_at_or_after(time_sec: float, unit_ms: float) -> int:
@@ -56,9 +93,9 @@ class PosteriorStream:
     frames has shape (num_steps, num_labels), one score vector per
     subsampled step. Scores are probabilities unless presoftmax is set,
     in which case they are unnormalized scores (argmax is invariant, so
-    greedy decoding treats both identically and probability checks are
-    skipped). frame_shift_ms is the RAW feature frame shift; one row
-    spans subsample_factor raw frames.
+    greedy decoding treats both identically; only the finiteness check of
+    validate_rows applies). frame_shift_ms is the RAW feature frame shift;
+    one row spans subsample_factor raw frames.
     """
 
     frames: np.ndarray
@@ -82,14 +119,7 @@ class PosteriorStream:
             raise InvalidConfig(
                 f"blank_id {self.blank_id} out of range for {frames.shape[1]} labels"
             )
-        if not self.presoftmax and frames.shape[0]:
-            if frames.min() < 0.0 or frames.max() > 1.0:
-                raise ValueError("probability frames must lie in [0, 1]")
-            sums = frames.sum(axis=1)
-            bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOLERANCE)
-            if bad.size:
-                row = int(bad[0])
-                raise ValueError(f"probability row {row + 1} sums to {sums[row]:.6f}, not 1")
+        validate_rows(frames, probabilities=not self.presoftmax)
 
     @property
     def num_steps(self) -> int:

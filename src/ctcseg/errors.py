@@ -37,7 +37,23 @@ class TruncatedFile(FormatError):
     """The stream ended before the declared number of rows was read."""
 
 
-class RowSumViolation(FormatError):
+class RowError(FormatError, ValueError):
+    """A score row breaks the format; row is its 1-based number in the stream."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+class NonFiniteScore(RowError):
+    """A row holds NaN or an infinite score."""
+
+
+class ProbabilityOutOfRange(RowError):
+    """A probability row holds a value outside [0, 1]."""
+
+
+class RowSumViolation(RowError):
     """A probability row does not sum to 1 within tolerance."""
 
 

@@ -97,10 +97,21 @@ def _safe_ratio(hits: int, denom: int, other_empty: bool) -> float:
 
 
 def _boundary_mae(hyp_spans: list[tuple[int, int]], ref_spans: list[tuple[int, int]]) -> float:
-    """Mean boundary error over greedily matched pairs (largest overlap first)."""
+    """Mean boundary error over greedily matched pairs (largest overlap first).
+
+    Both lists are sorted with non-decreasing ends, so the refs overlapping
+    one hyp span form a run that only moves right from one hyp to the next:
+    a single sweep finds every overlapping pair in O(H + R + pairs).
+    """
     candidates = []
+    lo = 0
     for i, (ha, hb) in enumerate(hyp_spans):
-        for j, (ra, rb) in enumerate(ref_spans):
+        while lo < len(ref_spans) and ref_spans[lo][1] < ha:
+            lo += 1  # ends before this hyp span, so before every later one too
+        for j in range(lo, len(ref_spans)):
+            ra, rb = ref_spans[j]
+            if ra > hb:
+                break
             overlap = min(hb, rb) - max(ha, ra) + 1
             if overlap > 0:
                 candidates.append((overlap, i, j))

@@ -15,23 +15,24 @@ CTCP binary layout (all little-endian):
     24      4     u32 subsample_factor
     28      ...   num_frames rows of num_labels f32
 
-The same layout is consumed incrementally from pipes/stdin, one row at a
-time, so file and stream ingestion share a single reader.
+The same layout is consumed incrementally from pipes/stdin in blocks of
+complete rows, so file and stream ingestion share a single reader.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import wave
 from pathlib import Path
-from typing import BinaryIO, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
-from .core import PosteriorStream, ReferenceAnnotation, Segment
-from .errors import (BadMagic, FormatError, RowSumViolation, SinkError,
-                     TruncatedFile, VersionMismatch)
+from .core import PosteriorStream, ReferenceAnnotation, Segment, validate_rows
+from .errors import (BadMagic, FormatError, RowError, SinkError, TruncatedFile,
+                     VersionMismatch)
 
 MAGIC = b"CTCP"
 VERSION = 1
@@ -39,34 +40,42 @@ _HEADER = struct.Struct("<4sHBBIIIfI")
 HEADER_SIZE = _HEADER.size  # 28
 _FLAG_PROBABILITIES = 0x01
 
-_ROW_SUM_TOLERANCE = 1e-4
+# Target size of the reader's reusable buffer; it always holds at least one row.
+BLOCK_BYTES = 1 << 20
 
 
-def _read_exact(fileobj: BinaryIO, n: int) -> bytes:
-    """Read exactly n bytes, looping over short reads (pipes deliver chunks)."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        chunk = fileobj.read(remaining)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _copy_into(view: memoryview, data: bytes | None) -> int:
+    data = data or b""
+    view[:len(data)] = data
+    return len(data)
+
+
+def _readinto(fileobj) -> Callable[[memoryview], int]:
+    """One read into a buffer, returning what fileobj has ready (0 at end)."""
+    readinto = getattr(fileobj, "readinto1", None) or getattr(fileobj, "readinto", None)
+    if readinto is not None:
+        return readinto
+    return lambda view: _copy_into(view, fileobj.read(len(view)))
 
 
 class PosteriorReader:
     """Incremental CTCP reader over a binary file object.
 
-    Parses and validates the header eagerly; rows() then yields one f32
-    vector per declared frame, validating probability row sums as they
-    arrive, so a consumer holds at most one frame vector at a time.
+    Parses and validates the header eagerly. blocks() then reads the rows
+    in blocks of about BLOCK_BYTES and validates each block once; labels(),
+    rows() and to_stream() are views of that one path. Memory is bounded by
+    the block size, never by the sizes the header declares.
     """
 
     def __init__(self, fileobj: BinaryIO):
-        raw = _read_exact(fileobj, HEADER_SIZE)
-        if len(raw) < HEADER_SIZE:
-            raise TruncatedFile(f"header truncated at offset {len(raw)} of {HEADER_SIZE}")
+        self._fileobj = fileobj
+        self._readinto = _readinto(fileobj)
+        raw = memoryview(bytearray(HEADER_SIZE))
+        got = 0
+        while got < HEADER_SIZE and (n := self._readinto(raw[got:])):
+            got += n
+        if got < HEADER_SIZE:
+            raise TruncatedFile(f"header truncated at offset {got} of {HEADER_SIZE}")
         magic, version, flags, _reserved, num_frames, num_labels, blank_id, \
             frame_shift_ms, subsample_factor = _HEADER.unpack(raw)
         if magic != MAGIC:
@@ -79,9 +88,9 @@ class PosteriorReader:
             raise FormatError(f"header blank_id {blank_id} out of range for {num_labels} labels")
         if subsample_factor < 1:
             raise FormatError("header subsample_factor must be >= 1")
-        if not frame_shift_ms > 0:
-            raise FormatError(f"header frame_shift_ms must be positive, got {frame_shift_ms}")
-        self._fileobj = fileobj
+        if not (math.isfinite(frame_shift_ms) and frame_shift_ms > 0):
+            raise FormatError(f"header frame_shift_ms must be positive and finite, "
+                              f"got {frame_shift_ms}")
         self.num_frames = num_frames
         self.num_labels = num_labels
         self.blank_id = blank_id
@@ -89,29 +98,76 @@ class PosteriorReader:
         self.subsample_factor = subsample_factor
         self.probabilities = bool(flags & _FLAG_PROBABILITIES)
 
+    @property
+    def total_feature_frames(self) -> int:
+        return self.num_frames * self.subsample_factor
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Validated (n, num_labels) float32 blocks of consecutive rows, n >= 1.
+
+        A block is a view of a reusable buffer and is valid until the next
+        one is requested. Each read takes what the source has ready, and all
+        complete rows in hand are handed on before the next read, so a live
+        pipe never waits for more than the row in progress. Reading stops at
+        the last declared row. On a bad row the rows before it come first as
+        a block of their own, then its RowError is raised.
+        """
+        num_labels, row_bytes = self.num_labels, 4 * self.num_labels
+        capacity = min(max(1, BLOCK_BYTES // row_bytes), self.num_frames) * row_bytes
+        # A row longer than BLOCK_BYTES gets room as its bytes arrive.
+        buf = np.empty(min(capacity, BLOCK_BYTES), dtype=np.uint8)
+        done = have = 0  # rows handed on; bytes of the row in progress
+        # The header read can leave bytes in a buffered reader's own buffer,
+        # and readinto1 would copy those and then wait on one more raw read;
+        # read1 returns only what that buffer holds, so it takes the first read.
+        read1 = getattr(self._fileobj, "read1", None)
+        read = self._readinto if read1 is None else (
+            lambda view: _copy_into(view, read1(len(view))))
+        while done < self.num_frames:
+            if have == buf.size:
+                grown = np.empty(min(2 * buf.size, capacity), dtype=np.uint8)
+                grown[:have] = buf[:have]
+                buf = grown
+            end = min(buf.size, (self.num_frames - done) * row_bytes)
+            n = read(memoryview(buf)[have:end])
+            read = self._readinto
+            if not n:
+                offset = HEADER_SIZE + done * row_bytes + have
+                raise TruncatedFile(f"stream ended in row {done + 1} of {self.num_frames} "
+                                    f"at offset {offset}")
+            have += n
+            k = have // row_bytes
+            if not k:
+                continue
+            block = buf[:k * row_bytes].view("<f4").reshape(k, num_labels)
+            try:
+                validate_rows(block, self.probabilities, first_row=done + 1)
+            except RowError as exc:
+                if exc.row > done + 1:
+                    yield block[:exc.row - done - 1]
+                raise exc
+            yield block
+            done += k
+            have -= k * row_bytes
+            buf[:have] = buf[k * row_bytes:k * row_bytes + have]
+
+    def labels(self) -> Iterator[np.ndarray]:
+        """Greedy label IDs (per-row argmax, ties to the lowest ID), one array per block."""
+        for block in self.blocks():
+            yield block.argmax(axis=1)
+
     def rows(self) -> Iterator[np.ndarray]:
-        row_bytes = self.num_labels * 4
-        for row_idx in range(1, self.num_frames + 1):
-            raw = _read_exact(self._fileobj, row_bytes)
-            if len(raw) < row_bytes:
-                offset = HEADER_SIZE + (row_idx - 1) * row_bytes + len(raw)
-                raise TruncatedFile(
-                    f"stream ended in row {row_idx} of {self.num_frames} at offset {offset}"
-                )
-            vec = np.frombuffer(raw, dtype="<f4")
-            if self.probabilities:
-                total = float(vec.sum(dtype=np.float32))
-                if abs(total - 1.0) > _ROW_SUM_TOLERANCE:
-                    raise RowSumViolation(f"row {row_idx} sums to {total:.6f}, not 1")
-            yield vec
+        """One f32 vector per declared row; each is a copy, safe to keep."""
+        for block in self.blocks():
+            yield from block.copy()
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return self.rows()
 
     def to_stream(self) -> PosteriorStream:
         """Drain all rows into a PosteriorStream."""
-        rows = list(self.rows())
-        frames = np.stack(rows) if rows else np.empty((0, self.num_labels), dtype=np.float32)
+        frames = np.concatenate([np.empty((0, self.num_labels), dtype=np.float32),
+                                 *(block.copy() for block in self.blocks())])
         return PosteriorStream(
             frames=frames,
             frame_shift_ms=self.frame_shift_ms,
@@ -177,6 +233,8 @@ def write_segments(segments: list[Segment], fmt: str, sink: str | Path | TextIO)
         else:
             with open(sink, "w", encoding="utf-8", newline="\n") as f:
                 f.write(text)
+    except BrokenPipeError:
+        raise  # the reader has gone (`| head`); callers decide if that is an error
     except OSError as exc:
         raise SinkError(f"failed writing segments: {exc}") from exc
 

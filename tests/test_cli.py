@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 import subprocess
 import sys
 
@@ -155,6 +156,59 @@ class TestSegmentCommand:
         code = main(["segment", "--input", str(fig1_ctcp), "--mode", "sideways"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    @pytest.mark.parametrize("bad_row", [[1.25, -0.25, 0.0], [np.nan, 0.5, 0.5]])
+    def test_bad_row_exits_one_in_both_modes(self, tmp_path, capsys, mode, bad_row):
+        frames = np.array([[0.5, 0.5, 0.0], bad_row, [0.5, 0.5, 0.0]], dtype=np.float32)
+        path = tmp_path / "bad.ctcp"
+        path.write_bytes(_ctcp_bytes(frames))
+        code, _, err = run_cli(["segment", "--input", str(path), "--mode", mode], capsys)
+        assert code == 1
+        assert "row 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["segment", "--mode", "offline"],
+        ["segment", "--mode", "online"],
+        ["eval", "--ref", "REF"],
+    ])
+    def test_blank_id_out_of_range_exits_one(self, tmp_path, capsys, write_annotation, argv):
+        stream = stream_from_labels([0, 1, 2, 0], 3, subsample_factor=4)
+        path = tmp_path / "three.ctcp"
+        write_posteriors(stream, path)
+        ref = write_annotation([], 0.16)
+        argv = [str(ref) if a == "REF" else a for a in argv]
+        code, out, err = run_cli([*argv, "--input", str(path), "--blank-id", "7"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "blank_id 7" in err
+
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    def test_closed_downstream_pipe_exits_zero(self, tmp_path, mode):
+        # 20,000 short segments: megabytes of output, far more than a pipe holds
+        stream = stream_from_labels([1, 2, 0, 0] * 20_000, 3)
+        path = tmp_path / "many.ctcp"
+        write_posteriors(stream, path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ctcseg", "segment", "--input", str(path), "--mode", mode,
+             "-V", "2", "--onset-margin", "0", "--offset-margin", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+        assert first.startswith(b"{")
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+
+def _ctcp_bytes(frames):
+    """Probability rows as CTCP, bad ones included (PosteriorStream would refuse them)."""
+    header = struct.pack("<4sHBBIIIfI", b"CTCP", 1, 1, 0, len(frames), frames.shape[1], 0,
+                         10.0, 1)
+    return header + frames.astype("<f4").tobytes()
 
 
 def _parse_events(out):

@@ -2,8 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctcseg import EvalReport, ReferenceAnnotation, Segment, evaluate, measure_rtf
+from ctcseg.evaluate import _boundary_mae
 
 
 def _seg(index, t_start, t_end):
@@ -109,3 +112,56 @@ class TestMeasureRtf:
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             measure_rtf(lambda: None, 0.0)
+
+
+def boundary_mae_all_pairs(hyp_spans, ref_spans):
+    """Reference for _boundary_mae: score every hyp x ref pair, then match greedily."""
+    candidates = []
+    for i, (ha, hb) in enumerate(hyp_spans):
+        for j, (ra, rb) in enumerate(ref_spans):
+            overlap = min(hb, rb) - max(ha, ra) + 1
+            if overlap > 0:
+                candidates.append((overlap, i, j))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    used_h: set[int] = set()
+    used_r: set[int] = set()
+    errors = []
+    for _, i, j in candidates:
+        if i in used_h or j in used_r:
+            continue
+        used_h.add(i)
+        used_r.add(j)
+        ha, hb = hyp_spans[i]
+        ra, rb = ref_spans[j]
+        errors.append((abs(ha - ra) + abs(hb - rb)) / 2.0)
+    return float(np.mean(errors)) if errors else 0.0
+
+
+_gaps_and_lengths = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 60)), max_size=25)
+
+
+class TestBoundaryMatching:
+    @given(_gaps_and_lengths, _gaps_and_lengths, st.integers(1, 400))
+    def test_sweep_matches_all_pairs(self, hyp_shape, ref_shape, total):
+        # Hyp spans as evaluate() builds them: sorted, disjoint, ends clipped
+        # to the stream (which can leave a span empty past its end).
+        hyp_spans, t = [], 0
+        for gap, length in hyp_shape:
+            a = t + gap + 1
+            hyp_spans.append((a, min(a + length, total)))
+            t = a + length
+        # Ref spans from touching, sub-frame regions, so neighbours can share a frame.
+        regions, t = [], 0.0
+        for gap, length in ref_shape:
+            start = t + gap * 0.0075
+            t = start + length * 0.0075 + 0.001
+            regions.append((start, t))
+        ref = ReferenceAnnotation(tuple(regions), max(t, 0.01))
+        ref_spans = ref.region_frame_spans(10.0, total)
+        assert _boundary_mae(hyp_spans, ref_spans) == \
+            boundary_mae_all_pairs(hyp_spans, ref_spans)
+
+    def test_one_span_overlapping_many(self):
+        hyp = [(1, 100), (150, 151)]
+        ref = [(5, 10), (10, 20), (30, 149), (150, 300)]
+        assert _boundary_mae(hyp, ref) == boundary_mae_all_pairs(hyp, ref)
