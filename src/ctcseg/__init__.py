@@ -10,8 +10,7 @@ evaluation, and RTF benchmarking.
 """
 
 from .core import (EventKind, LabelStream, PosteriorStream, ReferenceAnnotation,
-                   Segment, SegmentEvent, SegmenterConfig, clip_to_stream,
-                   subsampled_to_feature_index)
+                   Segment, SegmentEvent, SegmenterConfig)
 from .energy_vad import energy_vad
 from .errors import (BadMagic, CtcSegError, EmptyAudio, EmptyStream, FormatError,
                      InvalidConfig, InvalidState, NonFiniteScore, ProbabilityOutOfRange,
@@ -34,10 +33,9 @@ __all__ = [
     "ProbabilityOutOfRange", "ReferenceAnnotation", "RowError", "RowSumViolation",
     "Segment", "SegmentEvent",
     "SegmenterConfig", "SinkError", "TruncatedFile", "VersionMismatch",
-    "clip_to_stream", "ctc_collapse", "encoded_length", "energy_vad", "evaluate",
+    "ctc_collapse", "encoded_length", "energy_vad", "evaluate",
     "filter_short_segments", "greedy_decode", "greedy_label", "measure_rtf",
     "min_length_filter", "read_annotation", "read_posterior_file", "read_wav_mono",
     "segment_offline", "segment_posteriors", "segments_from_events",
-    "subsampled_to_feature_index", "synthesize_posteriors", "write_posteriors",
-    "write_segments",
+    "synthesize_posteriors", "write_posteriors", "write_segments",
 ]

@@ -16,16 +16,13 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .core import LabelStream, ReferenceAnnotation, Segment, SegmenterConfig
+from .core import ReferenceAnnotation, Segment, SegmenterConfig
 from .errors import CtcSegError, InvalidConfig
 from .evaluate import evaluate, measure_rtf
 from .energy_vad import energy_vad
 from .io import (PosteriorReader, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
-from .segmenter import (OnlineSegmenter, filter_short_segments, segment_offline,
-                        segment_posteriors)
+from .segmenter import OnlineSegmenter, segment_posteriors, segments_from_events
 from .simulate import synthesize_posteriors
 
 logger = logging.getLogger("ctcseg")
@@ -141,12 +138,14 @@ def _reader_cfg(args, reader: PosteriorReader) -> SegmenterConfig:
 
 
 def _offline_segments(reader: PosteriorReader, cfg: SegmenterConfig) -> list[Segment]:
-    """Greedy labels block by block, then the offline segmenter and length filter."""
-    labels = LabelStream(np.concatenate([np.empty(0, dtype=np.intp), *reader.labels()]),
-                         blank_id=cfg.blank_id)
-    segments = segment_offline(labels, cfg, reader.total_feature_frames,
-                               frame_shift_ms=reader.frame_shift_ms)
-    return filter_short_segments(segments, labels, cfg)
+    """Push each block's greedy labels, then rebuild and length-filter the segments."""
+    segmenter = OnlineSegmenter(cfg, frame_shift_ms=reader.frame_shift_ms)
+    events = []
+    for labels in reader.labels():
+        events += segmenter.push(labels.tolist())
+    events += segmenter.finish(reader.total_feature_frames)
+    return segments_from_events(events, cfg, reader.total_feature_frames,
+                                apply_min_length=True)
 
 
 def _open_sink(args):
@@ -158,6 +157,10 @@ def _open_sink(args):
 def cmd_segment(args) -> int:
     if args.input is None and not args.stream:
         print("error: give --input PATH or --stream", file=sys.stderr)
+        return 2
+    if args.mode == "online" and args.format != "jsonl":
+        print(f"error: --format {args.format} needs --mode offline; "
+              "online mode writes JSON events", file=sys.stderr)
         return 2
     with contextlib.ExitStack() as stack:
         if args.input is not None:
@@ -186,12 +189,10 @@ def cmd_segment(args) -> int:
 
 
 def _segment_online(reader: PosteriorReader, cfg: SegmenterConfig, sink) -> None:
-    """Step each label as its block arrives; write and flush each block's events at once."""
+    """Push each block as it arrives; write and flush the block's events at once."""
     segmenter = OnlineSegmenter(cfg, frame_shift_ms=reader.frame_shift_ms)
-    step = segmenter.step
     for labels in reader.labels():
-        _write_events([ev for label in labels.tolist() for ev in step(label)],
-                      reader.frame_shift_ms, sink)
+        _write_events(segmenter.push(labels.tolist()), reader.frame_shift_ms, sink)
     _write_events(segmenter.finish(reader.total_feature_frames), reader.frame_shift_ms, sink)
 
 

@@ -23,18 +23,6 @@ PROB_SUM_TOLERANCE = 1e-4
 _GRID_EPS = 1e-9
 
 
-def subsampled_to_feature_index(k: int, r: int) -> int:
-    """Feature-frame index anchoring subsampled step k, i.e. k*r (1-based)."""
-    return k * r
-
-
-def clip_to_stream(t: int, t_min: int, t_max: int) -> int:
-    """Clamp frame index t into [t_min, t_max]."""
-    if t_min > t_max:
-        raise ValueError(f"empty clip range [{t_min}, {t_max}]")
-    return min(max(t, t_min), t_max)
-
-
 def validate_rows(rows: np.ndarray, probabilities: bool, first_row: int = 1) -> None:
     """Check a (steps, labels) float32 block of score rows; raise on the first bad one.
 

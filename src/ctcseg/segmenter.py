@@ -1,21 +1,19 @@
-"""Blank-run segmentation: offline two-stage and online single-pass paths.
+"""Blank-run segmentation: one gap rule, fed in blocks, for offline and online use.
 
-A segment boundary is a run of at least v_threshold consecutive blank
-labels on the subsampled grid. Detected segments are anchored at their
-first/last non-blank step, expanded by the onset/offset margins in
-feature frames, clipped to the stream, and merged when the expanded
-spans share frames.
+The rule works on the greedy label of each subsampled step k. A segment
+opens at a non-blank step. It ends once v_threshold (V) consecutive
+blanks follow its last non-blank step k_last, so its close fires at step
+k_last + V; a non-blank step more than V steps after k_last therefore
+belongs to a new segment. OnlineSegmenter.push() is the only
+implementation of the rule and of the collapsed transcript count. It
+takes the labels of the next steps in blocks of any size, and the
+offline path is push() over the whole stream, then finish() and
+segments_from_events().
 
-State machine for the online path:
-
-    IDLE            --non-blank-->  IN_SPEECH       (emit Open)
-    IN_SPEECH       --blank------>  COUNTING_BLANKS (blank_run = 1)
-    COUNTING_BLANKS --non-blank-->  IN_SPEECH       (blank_run = 0)
-    COUNTING_BLANKS --blank------>  COUNTING_BLANKS; when blank_run
-                                    reaches v_threshold emit Close, go IDLE
-
-Close therefore fires exactly v_threshold steps after the last non-blank.
-The reported t_end includes the offset margin and may lie past the frames
+Detected segments are anchored at their first/last non-blank step,
+expanded by the onset/offset margins in feature frames, clipped to the
+stream, and merged when the expanded spans share frames. A close
+event's t_end includes the offset margin and may lie past the frames
 seen so far; consumers buffer offset_margin * r feature frames, and
 segments_from_events() clips once the stream length is known.
 """
@@ -24,8 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from enum import Enum, auto
-
-import numpy as np
+from typing import Sequence
 
 from .core import EventKind, LabelStream, PosteriorStream, Segment, SegmentEvent, SegmenterConfig
 from .errors import InvalidConfig, InvalidState
@@ -33,7 +30,7 @@ from .greedy import ctc_collapse, greedy_decode
 
 
 class Mode(Enum):
-    """Online segmenter states."""
+    """Online segmenter states, as derived by OnlineSegmenter.mode."""
 
     IDLE = auto()
     IN_SPEECH = auto()
@@ -64,73 +61,27 @@ def _check_stream_extent(num_steps: int, r: int, total_feature_frames: int) -> N
         )
 
 
-def _merge_shared_frames(segments: list[Segment],
-                         transcript_lens: list[int] | None = None):
-    """Merge neighbours whose expanded spans share at least one feature frame.
-
-    Adjacent-but-disjoint spans stay separate: only actual frame sharing
-    (duplicated audio downstream) triggers a merge. Transcript lengths, when
-    given, add up exactly because merged parts are separated by blanks.
-    """
-    merged: list[Segment] = []
-    lens: list[int] = []
-    for i, seg in enumerate(segments):
-        if merged and seg.t_start <= merged[-1].t_end:
-            prev = merged[-1]
-            merged[-1] = dataclasses.replace(
-                prev,
-                k_last_nonblank=seg.k_last_nonblank,
-                t_end=max(prev.t_end, seg.t_end),
-            )
-            if transcript_lens is not None:
-                lens[-1] += transcript_lens[i]
-        else:
-            merged.append(seg)
-            if transcript_lens is not None:
-                lens.append(transcript_lens[i])
-    return (merged, lens) if transcript_lens is not None else (merged, None)
-
-
 def _reindex(segments: list[Segment]) -> list[Segment]:
-    return [dataclasses.replace(seg, index=i) for i, seg in enumerate(segments, start=1)]
+    return [seg if seg.index == i else dataclasses.replace(seg, index=i)
+            for i, seg in enumerate(segments, start=1)]
 
 
 def segment_offline(labels: LabelStream, cfg: SegmenterConfig, total_feature_frames: int,
-                    frame_shift_ms: float = 10.0, merge: bool = True) -> list[Segment]:
+                    frame_shift_ms: float = 10.0) -> list[Segment]:
     """Segment a complete label stream.
 
     Returns sorted, non-overlapping segments. Leading/trailing blank runs
     never create segments; interior blank runs of length >= cfg.v_threshold
-    separate them. merge=False skips the shared-frame merge (diagnostic).
+    separate them.
     """
     if labels.blank_id != cfg.blank_id:
         raise InvalidConfig(
             f"label stream blank_id {labels.blank_id} != config blank_id {cfg.blank_id}"
         )
-    r = cfg.subsample_factor
-    _check_stream_extent(labels.num_steps, r, total_feature_frames)
-
-    nonblank = np.flatnonzero(labels.labels != cfg.blank_id) + 1  # 1-based steps
-    if nonblank.size == 0:
-        return []
-    gaps = np.diff(nonblank) - 1
-    cuts = np.flatnonzero(gaps >= cfg.v_threshold)
-    firsts = np.concatenate(([nonblank[0]], nonblank[cuts + 1]))
-    lasts = np.concatenate((nonblank[cuts], [nonblank[-1]]))
-
-    segments = []
-    for i, (ks, ke) in enumerate(zip(firsts, lasts), start=1):
-        segments.append(Segment(
-            index=i,
-            k_first_nonblank=int(ks),
-            k_last_nonblank=int(ke),
-            t_start=max(1, r * (int(ks) - cfg.onset_margin)),
-            t_end=min(total_feature_frames, r * (int(ke) + cfg.offset_margin)),
-            frame_shift_ms=frame_shift_ms,
-        ))
-    if merge:
-        segments, _ = _merge_shared_frames(segments)
-    return _reindex(segments)
+    segmenter = OnlineSegmenter(cfg, frame_shift_ms=frame_shift_ms)
+    events = segmenter.push(labels.labels.tolist())
+    events += segmenter.finish(total_feature_frames)
+    return segments_from_events(events, cfg, total_feature_frames)
 
 
 def encoded_length(segment: Segment, r: int) -> int:
@@ -157,11 +108,12 @@ def filter_short_segments(segments: list[Segment], labels: LabelStream,
 
 
 class OnlineSegmenter:
-    """Single-pass streaming segmenter; feed one label per subsampled step.
+    """Single-pass streaming segmenter; feed greedy labels in blocks of any size.
 
-    step() returns the events fired by that label (possibly empty). Call
-    finish(total_feature_frames) exactly once at end of stream to flush a
-    segment still open; reset() rearms the instance for a new stream.
+    push() returns the events fired by the next steps' labels, in step
+    order; step() pushes one label. Call finish(total_feature_frames)
+    exactly once at end of stream to flush a segment still open; reset()
+    rearms the instance for a new stream.
     """
 
     def __init__(self, cfg: SegmenterConfig, frame_shift_ms: float = 10.0):
@@ -170,38 +122,31 @@ class OnlineSegmenter:
         self.reset()
 
     def reset(self) -> None:
-        self._mode = Mode.IDLE
-        self._k = 0
-        self._blank_run = 0
+        self._k = 0           # steps seen
+        self._k_last = 0      # last non-blank step
+        self._prev = -1       # label at k_last; -1 before the first one
+        self._out_len = 0     # collapsed transcript length of the open segment
+        self._open = False
         self._index = 0
         self._k_first = 0
-        self._k_last = 0
         self._t_start = 0
-        self._out_len = 0
-        self._prev_label: int | None = None
         self._finished = False
 
     # Introspection, mainly for tests and debugging.
     @property
     def mode(self) -> Mode:
-        return self._mode
-
-    @property
-    def k_current(self) -> int:
-        return self._k
+        if not self._open:
+            return Mode.IDLE
+        return Mode.IN_SPEECH if self._k == self._k_last else Mode.COUNTING_BLANKS
 
     @property
     def blank_run(self) -> int:
-        return self._blank_run
-
-    @property
-    def k_last_nonblank(self) -> int:
-        return self._k_last
+        return self._k - self._k_last if self._open else 0
 
     @property
     def pending_segment(self) -> dict | None:
         """Partial segment while a segment is open, else None."""
-        if self._mode is Mode.IDLE:
+        if not self._open:
             return None
         return {
             "index": self._index,
@@ -212,53 +157,36 @@ class OnlineSegmenter:
         }
 
     def step(self, label: int) -> list[SegmentEvent]:
+        return self.push((label,))
+
+    def push(self, labels: Sequence[int]) -> list[SegmentEvent]:
+        """Feed the greedy labels of the next steps; returns their events in step order."""
         if self._finished:
-            raise InvalidState("step() after finish(); call reset() first")
-        cfg = self.cfg
-        self._k += 1
-        k = self._k
-        is_blank = label == cfg.blank_id
+            raise InvalidState("push() after finish(); call reset() first")
+        blank = self.cfg.blank_id
+        v = self.cfg.v_threshold
+        k0, k_last, prev, out_len, is_open = (self._k, self._k_last, self._prev,
+                                              self._out_len, self._open)
         events: list[SegmentEvent] = []
-
-        if self._mode is Mode.IDLE:
-            if is_blank:
-                return events
-            self._index += 1
-            self._k_first = k
-            self._t_start = max(1, cfg.subsample_factor * (k - cfg.onset_margin))
-            self._out_len = 0
-            self._prev_label = None
-            self._mode = Mode.IN_SPEECH
-            events.append(SegmentEvent(
-                kind=EventKind.OPEN, emitted_at_step=k,
-                index=self._index, t_start=self._t_start,
-            ))
-
-        if is_blank:
-            if self._mode is Mode.IN_SPEECH:
-                self._mode = Mode.COUNTING_BLANKS
-                self._blank_run = 1
-            else:
-                self._blank_run += 1
-            if self._blank_run >= cfg.v_threshold:
-                events.append(SegmentEvent(
-                    kind=EventKind.CLOSE, emitted_at_step=k,
-                    index=self._index, t_start=self._t_start,
-                    segment=self._pending(t_end=cfg.subsample_factor
-                                          * (self._k_last + cfg.offset_margin)),
-                    transcript_len=self._out_len,
-                ))
-                self._mode = Mode.IDLE
-                self._blank_run = 0
-                self._prev_label = None
-                return events
-        else:
-            self._mode = Mode.IN_SPEECH
-            self._blank_run = 0
-            self._k_last = k
-            if label != self._prev_label:
-                self._out_len += 1
-        self._prev_label = label
+        for k, label in enumerate(labels, k0 + 1):
+            if label == blank:
+                continue
+            if k - k_last > v or not is_open:
+                if is_open:
+                    events.append(self._ending(EventKind.CLOSE, k_last + v, k_last, out_len))
+                events.append(self._opening(k))
+                is_open = True
+                out_len = 1
+            elif k != k_last + 1 or label != prev:
+                out_len += 1
+            k_last = k
+            prev = label
+        k = k0 + len(labels)
+        if is_open and k - k_last >= v:
+            events.append(self._ending(EventKind.CLOSE, k_last + v, k_last, out_len))
+            is_open = False
+        self._k, self._k_last, self._prev, self._out_len, self._open = (k, k_last, prev,
+                                                                         out_len, is_open)
         return events
 
     def finish(self, total_feature_frames: int) -> list[SegmentEvent]:
@@ -267,25 +195,30 @@ class OnlineSegmenter:
             raise InvalidState("finish() called twice; call reset() first")
         _check_stream_extent(self._k, self.cfg.subsample_factor, total_feature_frames)
         self._finished = True
-        if self._mode is Mode.IDLE:
+        if not self._open:
             return []
-        t_end = min(total_feature_frames,
-                    self.cfg.subsample_factor * (self._k_last + self.cfg.offset_margin))
-        return [SegmentEvent(
-            kind=EventKind.FLUSH, emitted_at_step=self._k,
-            index=self._index, t_start=self._t_start,
-            segment=self._pending(t_end=t_end),
-            transcript_len=self._out_len,
-        )]
+        return [self._ending(EventKind.FLUSH, self._k, self._k_last, self._out_len,
+                             total_feature_frames)]
 
-    def _pending(self, t_end: int) -> Segment:
-        return Segment(
-            index=self._index,
-            k_first_nonblank=self._k_first,
-            k_last_nonblank=self._k_last,
-            t_start=self._t_start,
-            t_end=t_end,
-            frame_shift_ms=self.frame_shift_ms,
+    def _opening(self, k: int) -> SegmentEvent:
+        cfg = self.cfg
+        self._index += 1
+        self._k_first = k
+        self._t_start = max(1, cfg.subsample_factor * (k - cfg.onset_margin))
+        return SegmentEvent(kind=EventKind.OPEN, emitted_at_step=k,
+                            index=self._index, t_start=self._t_start)
+
+    def _ending(self, kind: EventKind, step: int, k_last: int, out_len: int,
+                t_max: int | None = None) -> SegmentEvent:
+        t_end = self.cfg.subsample_factor * (k_last + self.cfg.offset_margin)
+        if t_max is not None:
+            t_end = min(t_end, t_max)
+        return SegmentEvent(
+            kind=kind, emitted_at_step=step, index=self._index, t_start=self._t_start,
+            segment=Segment(index=self._index, k_first_nonblank=self._k_first,
+                            k_last_nonblank=k_last, t_start=self._t_start, t_end=t_end,
+                            frame_shift_ms=self.frame_shift_ms),
+            transcript_len=out_len,
         )
 
 
@@ -294,32 +227,39 @@ def segments_from_events(events: list[SegmentEvent], cfg: SegmenterConfig,
                          apply_min_length: bool = False) -> list[Segment]:
     """Rebuild the final segment list from an online event stream.
 
-    Clips close-event spans to the now-known stream length, merges shared
-    frames, optionally applies the min-length filter from the transcript
-    lengths carried on the events, and reindexes. The result equals
-    segment_offline (plus filter_short_segments when enabled) on the same
-    labels.
+    Clips close-event spans to the now-known stream length, merges
+    neighbours whose spans share at least one feature frame (spans that
+    only touch stay apart), optionally applies the min-length filter from
+    the transcript lengths carried on the events, and reindexes. Merged
+    parts are separated by blanks, so their transcript lengths add up.
+    This is the offline result; segment_posteriors equals it with the
+    filter enabled.
     """
-    segments: list[Segment] = []
-    lens: list[int] = []
+    spans: list[list] = []  # [first segment, k_last, t_end, transcript_len]
     for ev in events:
-        if ev.kind is EventKind.OPEN:
+        seg = ev.segment
+        if seg is None:  # an open event
             continue
-        seg = dataclasses.replace(ev.segment, t_end=min(ev.segment.t_end, total_feature_frames))
-        segments.append(seg)
-        if ev.transcript_len is None:
+        n = ev.transcript_len
+        if n is None:
             if apply_min_length:
                 raise ValueError("events lack transcript_len; cannot apply the length filter")
-            lens.append(0)
+            n = 0
+        t_end = min(seg.t_end, total_feature_frames)
+        if spans and seg.t_start <= spans[-1][2]:
+            last = spans[-1]
+            last[1] = seg.k_last_nonblank
+            last[2] = max(last[2], t_end)
+            last[3] += n
         else:
-            lens.append(ev.transcript_len)
-    segments, lens = _merge_shared_frames(segments, lens)
-    if apply_min_length:
-        segments = [
-            seg for seg, n in zip(segments, lens)
-            if min_length_filter(n, encoded_length(seg, cfg.subsample_factor),
-                                 cfg.min_len_ratio)
-        ]
+            spans.append([seg, seg.k_last_nonblank, t_end, n])
+    segments: list[Segment] = []
+    for seg, k_last, t_end, n in spans:
+        if (k_last, t_end) != (seg.k_last_nonblank, seg.t_end):
+            seg = dataclasses.replace(seg, k_last_nonblank=k_last, t_end=t_end)
+        if not apply_min_length or min_length_filter(
+                n, encoded_length(seg, cfg.subsample_factor), cfg.min_len_ratio):
+            segments.append(seg)
     return _reindex(segments)
 
 

@@ -1,10 +1,17 @@
 import json
+import os
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctcseg import PosteriorStream
+
+# Tests that start `python -m ctcseg` import it from this checkout, as the
+# tests themselves do through pyproject's pytest pythonpath.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 # Fig-1-style worked stream: blank=0, A=1, B=2, C=3.
 FIG1_LABELS = [0, 0, 1, 1, 0, 2, 0, 0, 0, 0, 0, 3, 3, 0]

@@ -157,6 +157,21 @@ class TestSegmentCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["ctm", "tsv"])
+    def test_online_mode_rejects_segment_formats(self, fig1_ctcp, capsys, fmt):
+        code, out, err = run_cli(["segment", "--input", str(fig1_ctcp), "--mode", "online",
+                                  "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--format" in err and "online" in err
+
+    def test_online_mode_accepts_jsonl(self, fig1_ctcp, capsys):
+        code, out, _ = run_cli(["segment", "--input", str(fig1_ctcp), "--mode", "online",
+                                "--format", "jsonl", *FIG1_FLAGS], capsys)
+        assert code == 0
+        assert [json.loads(line)["event"] for line in out.splitlines()] == [
+            "open", "close", "open", "flush"]
+
     @pytest.mark.parametrize("mode", ["offline", "online"])
     @pytest.mark.parametrize("bad_row", [[1.25, -0.25, 0.0], [np.nan, 0.5, 0.5]])
     def test_bad_row_exits_one_in_both_modes(self, tmp_path, capsys, mode, bad_row):

@@ -5,51 +5,61 @@ from hypothesis import strategies as st
 
 from ctcseg import (EventKind, InvalidConfig, LabelStream, PosteriorStream,
                     ReferenceAnnotation, Segment, SegmentEvent, SegmenterConfig,
-                    clip_to_stream, subsampled_to_feature_index)
+                    segment_offline, segments_from_events)
+
+
+def _segments(labels, r, onset=0, offset=0, total=None):
+    """Config and offline segments of a label list, blank 0, V=1."""
+    cfg = SegmenterConfig(v_threshold=1, onset_margin=onset, offset_margin=offset,
+                          subsample_factor=r, blank_id=0)
+    total = r * len(labels) if total is None else total
+    return cfg, segment_offline(LabelStream(labels, blank_id=0), cfg, total)
+
+
+def _spans(labels, r, onset=0, offset=0, total=None):
+    """(t_start, t_end) of each segment of a label list."""
+    return [(s.t_start, s.t_end) for s in _segments(labels, r, onset, offset, total)[1]]
 
 
 class TestIndexArithmetic:
+    """Step k is anchored at feature frame k*r (1-based), as the segments show."""
+
     def test_first_step_maps_to_r(self):
-        assert subsampled_to_feature_index(1, 4) == 4
+        assert _spans([1], 4) == [(4, 4)]
 
     def test_threshold_step_at_subsampling_four(self):
         # 16 steps at r=4 end at feature frame 64, i.e. 640 ms at a 10 ms shift
-        assert subsampled_to_feature_index(16, 4) == 64
+        assert _spans([0] * 15 + [1], 4) == [(64, 64)]
+        assert SegmenterConfig(v_threshold=16, subsample_factor=4).blank_threshold_ms(10.0) \
+            == 640.0
 
     def test_plain_arithmetic(self):
-        assert subsampled_to_feature_index(7, 2) == 14
-
-    @given(st.integers(min_value=1, max_value=10**6))
-    def test_identity_at_r_one(self, k):
-        assert subsampled_to_feature_index(k, 1) == k
-
-    @given(st.integers(min_value=1, max_value=10**5),
-           st.integers(min_value=1, max_value=10**5),
-           st.integers(min_value=1, max_value=16))
-    def test_order_preserved(self, k1, k2, r):
-        if k1 < k2:
-            assert subsampled_to_feature_index(k1, r) < subsampled_to_feature_index(k2, r)
+        assert _spans([0] * 6 + [1], 2) == [(14, 14)]
 
 
 class TestClip:
+    """Margin-expanded spans are clipped into [1, total_feature_frames]."""
+
     def test_lower(self):
-        assert clip_to_stream(-3, 1, 100) == 1
+        assert _spans([0, 1, 0, 0], 4, onset=3) == [(1, 8)]
 
     def test_upper(self):
-        assert clip_to_stream(30, 1, 28) == 28
+        assert _spans([0, 0, 1], 4, offset=5, total=14) == [(12, 14)]
 
     def test_identity(self):
-        assert clip_to_stream(15, 1, 100) == 15
+        assert _spans([0, 0, 0, 1, 0, 0, 0, 0], 2, onset=1, offset=2) == [(6, 12)]
 
-    @given(st.integers(-1000, 1000), st.integers(1, 100), st.integers(100, 500))
-    def test_idempotent_and_in_range(self, t, lo, hi):
-        once = clip_to_stream(t, lo, hi)
-        assert clip_to_stream(once, lo, hi) == once
-        assert lo <= once <= hi
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            clip_to_stream(5, 10, 2)
+    @given(st.lists(st.integers(0, 2), max_size=60), st.sampled_from([1, 2, 4]),
+           st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_idempotent_and_in_range(self, labels, r, onset, offset, data):
+        total = r * len(labels) + data.draw(st.integers(0, r - 1))
+        cfg, segs = _segments(labels, r, onset, offset, total)
+        assert all(1 <= s.t_start <= s.t_end <= total for s in segs)
+        # clipping the clipped segments again changes nothing
+        events = [SegmentEvent(kind=EventKind.CLOSE, emitted_at_step=s.k_last_nonblank,
+                               index=s.index, t_start=s.t_start, segment=s)
+                  for s in segs]
+        assert segments_from_events(events, cfg, total) == segs
 
 
 class TestPosteriorStream:

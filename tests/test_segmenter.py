@@ -11,7 +11,7 @@ from ctcseg import (EventKind, InvalidConfig, InvalidState, LabelStream, Mode,
                     segment_posteriors, segments_from_events)
 
 from conftest import FIG1_LABELS, FIG1_NUM_LABELS, stream_from_labels
-from oracle import oracle_segments, random_stream_case
+from oracle import oracle_anchor_spans, oracle_segments, random_stream_case
 
 FIG1_CFG = SegmenterConfig(v_threshold=4, onset_margin=1, offset_margin=2,
                            subsample_factor=2, blank_id=0, min_len_ratio=0.0)
@@ -66,12 +66,15 @@ class TestSegmentOffline:
     def test_overlapping_margins_merge(self):
         cfg = SegmenterConfig(v_threshold=2, onset_margin=0, offset_margin=3,
                               subsample_factor=1, blank_id=0)
-        labels = LabelStream([1, 0, 0, 1, 0, 0, 0, 0], blank_id=0)
-        merged = segment_offline(labels, cfg, 8)
+        labels = [1, 0, 0, 1, 0, 0, 0, 0]
+        merged = segment_offline(LabelStream(labels, blank_id=0), cfg, 8)
         assert [(s.t_start, s.t_end) for s in merged] == [(1, 7)]
         assert [(s.k_first_nonblank, s.k_last_nonblank) for s in merged] == [(1, 4)]
-        raw = segment_offline(labels, cfg, 8, merge=False)
-        assert [(s.t_start, s.t_end) for s in raw] == [(1, 4), (4, 7)]
+        # two raw anchor spans, whose expanded spans (r=1) share frame 4
+        raw = oracle_anchor_spans(labels, 0, cfg.v_threshold)
+        assert raw == [(1, 1), (4, 4)]
+        assert [(ks - cfg.onset_margin, ke + cfg.offset_margin) for ks, ke in raw] == \
+            [(1, 4), (4, 7)]
 
     def test_adjacent_spans_do_not_merge(self):
         # expanded spans touch end-to-start with no shared frame: stay separate
@@ -153,6 +156,8 @@ class TestOnlineSegmenter:
         seg.finish(0)
         with pytest.raises(InvalidState):
             seg.step(0)
+        with pytest.raises(InvalidState):
+            seg.push([])
 
     def test_finish_twice_raises(self):
         seg = OnlineSegmenter(FIG1_CFG)
@@ -262,12 +267,29 @@ class TestProperties:
         v = data.draw(st.integers(max(m_s + m_e, 1), 9))
         cfg = SegmenterConfig(v_threshold=v, onset_margin=m_s, offset_margin=m_e,
                               subsample_factor=r, blank_id=0)
-        stream = LabelStream(labels, blank_id=0)
-        merged = segment_offline(stream, cfg, r * len(labels))
-        unmerged = segment_offline(stream, cfg, r * len(labels), merge=False)
-        assert len(merged) == len(unmerged)
+        merged = segment_offline(LabelStream(labels, blank_id=0), cfg, r * len(labels))
+        assert [(s.k_first_nonblank, s.k_last_nonblank) for s in merged] == \
+            oracle_anchor_spans(labels, 0, v)
         for a, b in zip(merged, merged[1:]):
             assert a.t_end < b.t_start
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=120),
+           st.integers(1, 8), st.integers(0, 4), st.integers(0, 4),
+           st.sampled_from([1, 2, 4]), st.data())
+    def test_block_split_does_not_change_events(self, labels, v, m_s, m_e, r, data):
+        # Cuts may repeat (empty blocks) or sit next to each other (single labels).
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(labels)), max_size=16)))
+        blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, len(labels)])]
+        total = r * len(labels)
+        cfg = SegmenterConfig(v_threshold=v, onset_margin=m_s, offset_margin=m_e,
+                              subsample_factor=r, blank_id=0)
+        whole = OnlineSegmenter(cfg)
+        expected = whole.push(labels) + whole.finish(total)
+        split = OnlineSegmenter(cfg)
+        got = [ev for block in blocks for ev in split.push(block)] + split.finish(total)
+        assert got == expected
+        assert run_online(labels, cfg, total) == expected
 
 
 class TestPipeline:
