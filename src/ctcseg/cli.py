@@ -12,18 +12,20 @@ import dataclasses
 import json
 import logging
 import os
-import statistics
 import sys
 from pathlib import Path
 
+# ctcseg makes no BLAS call, but OpenBLAS starts an idle worker thread when
+# numpy loads, which adds tens of ms to each launch; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# Only what `segment` needs is loaded here; each other command imports its
+# own modules when it runs.
 from .core import ReferenceAnnotation, Segment, SegmenterConfig
 from .errors import CtcSegError, InvalidConfig
-from .evaluate import evaluate, measure_rtf
-from .energy_vad import energy_vad
 from .io import (PosteriorReader, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
 from .segmenter import OnlineSegmenter, segment_posteriors, segments_from_events
-from .simulate import synthesize_posteriors
 
 logger = logging.getLogger("ctcseg")
 
@@ -221,6 +223,8 @@ def _format_event(event, frame_shift_ms: float) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import synthesize_posteriors
+
     ref = read_annotation(args.annotation, label_alphabet_size=args.num_labels)
     cfg = SegmenterConfig(
         v_threshold=args.v_threshold, onset_margin=0, offset_margin=0,
@@ -237,6 +241,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .scoring import evaluate
+
     with open(args.input, "rb") as source:
         reader = PosteriorReader(source)
         ref = read_annotation(args.ref)
@@ -268,6 +274,8 @@ def cmd_eval(args) -> int:
             f"(> 1 posterior frame apart)", file=sys.stderr,
         )
         return 1
+    from .energy import energy_vad
+
     energy_segments = [
         dataclasses.replace(s, t_end=min(s.t_end, total))
         for s in energy_vad(samples, rate, frame_shift_ms,
@@ -284,6 +292,8 @@ def cmd_eval(args) -> int:
 
 def _synthetic_bench_stream(args):
     """Alternating 2 s speech / 1 s silence filler for --input-less bench runs."""
+    from .simulate import synthesize_posteriors
+
     duration = args.duration
     regions = []
     t = 0.5
@@ -297,6 +307,10 @@ def _synthetic_bench_stream(args):
 
 
 def cmd_bench(args) -> int:
+    import statistics
+
+    from .scoring import measure_rtf
+
     if args.repeat < 1:
         print("error: --repeat must be >= 1", file=sys.stderr)
         return 2

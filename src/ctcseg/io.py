@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import wave
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, TextIO
 
@@ -254,6 +253,8 @@ def read_annotation(path: str | Path, label_alphabet_size: int = 32) -> Referenc
 
 def read_wav_mono(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a 16-bit mono PCM RIFF file; returns (float32 samples in [-1, 1], rate)."""
+    import wave
+
     with wave.open(str(path), "rb") as w:
         if w.getnchannels() != 1:
             raise FormatError(f"{path}: expected mono, got {w.getnchannels()} channels")

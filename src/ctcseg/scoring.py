@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -13,7 +13,7 @@ from .core import ReferenceAnnotation, Segment
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Frame-level precision/recall/F1 plus boundary error and timing.
+    """Frame-level precision/recall/F1 plus boundary error.
 
     An empty denominator scores 1.0 only when the other side is empty too,
     otherwise 0.0; f1 is the harmonic mean (0 when both are 0).
@@ -25,7 +25,6 @@ class EvalReport:
     boundary_mae_frames: float
     n_hyp_segments: int
     n_ref_segments: int
-    rtf: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -35,11 +34,7 @@ class EvalReport:
             "boundary_mae_frames": self.boundary_mae_frames,
             "n_hyp_segments": self.n_hyp_segments,
             "n_ref_segments": self.n_ref_segments,
-            "rtf": self.rtf,
         }
-
-    def with_rtf(self, rtf: float) -> "EvalReport":
-        return replace(self, rtf=rtf)
 
 
 def evaluate(hyp: list[Segment], ref: ReferenceAnnotation, frame_shift_ms: float,

@@ -345,7 +345,7 @@ class TestEvalCommand:
         assert report["frame_f1"] == 1.0
         assert report["boundary_mae_frames"] == 0.0
         assert report["n_hyp_segments"] == 1
-        assert report["rtf"] == 0.0
+        assert "rtf" not in report
 
     def test_missing_ref_exits_one(self, tmp_path, capsys, write_annotation):
         ctcp, _ = _aligned_eval_pair(tmp_path, write_annotation)

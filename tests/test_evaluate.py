@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctcseg import EvalReport, ReferenceAnnotation, Segment, evaluate, measure_rtf
-from ctcseg.evaluate import _boundary_mae
+from ctcseg.scoring import _boundary_mae
 
 
 def _seg(index, t_start, t_end):
@@ -94,11 +94,10 @@ class TestEvaluate:
             assert rep.frame_f1 == pytest.approx(expected)
 
     def test_report_dict_round_trip(self):
-        rep = EvalReport(1.0, 0.5, 2 / 3, 0.0, 1, 2, rtf=0.25)
+        rep = EvalReport(1.0, 0.5, 2 / 3, 0.0, 1, 2)
         d = rep.as_dict()
         assert d["frame_recall"] == 0.5
-        assert d["rtf"] == 0.25
-        assert rep.with_rtf(0.5).rtf == 0.5
+        assert "rtf" not in d
 
 
 class TestMeasureRtf:
