@@ -29,7 +29,7 @@ _EXPORTS = {
     "io": ("PosteriorReader", "read_annotation", "read_posterior_file", "read_wav_mono",
            "write_posteriors", "write_segments"),
     "scoring": ("EvalReport", "evaluate", "measure_rtf"),
-    "segmenter": ("Mode", "OnlineSegmenter", "encoded_length", "filter_short_segments",
+    "segmenter": ("OnlineSegmenter", "encoded_length", "filter_short_segments",
                   "min_length_filter", "segment_offline", "segment_posteriors",
                   "segments_from_events"),
     "simulate": ("synthesize_posteriors",),

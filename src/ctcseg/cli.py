@@ -23,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # own modules when it runs.
 from .core import ReferenceAnnotation, Segment, SegmenterConfig
 from .errors import CtcSegError, InvalidConfig
-from .io import (PosteriorReader, read_annotation, read_posterior_file,
+from .io import (PosteriorReader, format_event, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
 from .segmenter import OnlineSegmenter, segment_posteriors, segments_from_events
 
@@ -38,6 +38,22 @@ PROFILES = {
 DEFAULT_PROFILE = "csj"
 
 
+def _add_segmenter_flags(parser: argparse.ArgumentParser) -> None:
+    """The segmenter flags of segment and eval; None means "not given" (see _resolve_cfg)."""
+    parser.add_argument("-V", "--threshold", dest="v_threshold", type=int,
+                        help="minimum blank run (subsampled steps) ending a segment")
+    parser.add_argument("--onset-margin", dest="onset_margin", type=int,
+                        help="steps prepended to each segment")
+    parser.add_argument("--offset-margin", dest="offset_margin", type=int,
+                        help="steps appended to each segment")
+    parser.add_argument("--blank-id", type=int, help="override the header blank label ID")
+    parser.add_argument("--min-len-ratio", type=float,
+                        help="reject segments with transcript/steps ratio <= this "
+                             f"(default {SegmenterConfig.min_len_ratio})")
+    parser.add_argument("--profile", choices=sorted(PROFILES),
+                        help=f"named threshold/margin preset (default {DEFAULT_PROFILE})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctcseg",
@@ -46,22 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seg = sub.add_parser("segment", help="segment a CTCP posterior stream")
-    seg.add_argument("--input", type=Path, help="CTCP file (omit with --stream)")
-    seg.add_argument("--stream", action="store_true", help="read CTCP bytes from stdin")
+    source = seg.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", type=Path, help="CTCP file")
+    source.add_argument("--stream", action="store_true", help="read CTCP bytes from stdin")
     seg.add_argument("--output", type=Path, help="write here instead of stdout")
-    seg.add_argument("-V", "--threshold", dest="v_threshold", type=int,
-                     help="minimum blank run (subsampled steps) ending a segment")
-    seg.add_argument("--onset-margin", dest="onset_margin", type=int,
-                     help="steps prepended to each segment")
-    seg.add_argument("--offset-margin", dest="offset_margin", type=int,
-                     help="steps appended to each segment")
-    seg.add_argument("--blank-id", type=int, help="override the header blank label ID")
-    seg.add_argument("--min-len-ratio", type=float, default=0.1,
-                     help="reject segments with transcript/steps ratio <= this (default 0.1)")
+    _add_segmenter_flags(seg)
     seg.add_argument("--mode", choices=["offline", "online"], default="offline")
     seg.add_argument("--format", choices=["jsonl", "ctm", "tsv"], default="jsonl")
-    seg.add_argument("--profile", choices=sorted(PROFILES),
-                     help="named threshold/margin preset (default csj)")
     seg.set_defaults(func=cmd_segment)
 
     sim = sub.add_parser("simulate", help="synthesize a CTCP file from an annotation")
@@ -82,12 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score segmentation against a reference annotation")
     ev.add_argument("--input", type=Path, required=True, help="CTCP file")
     ev.add_argument("--ref", type=Path, required=True, help="reference annotation JSON")
-    ev.add_argument("-V", "--threshold", dest="v_threshold", type=int)
-    ev.add_argument("--onset-margin", dest="onset_margin", type=int)
-    ev.add_argument("--offset-margin", dest="offset_margin", type=int)
-    ev.add_argument("--blank-id", type=int)
-    ev.add_argument("--min-len-ratio", type=float, default=0.1)
-    ev.add_argument("--profile", choices=sorted(PROFILES))
+    _add_segmenter_flags(ev)
     ev.add_argument("--compare", action="store_true",
                     help="also run the energy VAD baseline on --wav")
     ev.add_argument("--wav", type=Path, help="paired 16-bit mono WAV for --compare")
@@ -114,19 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cfg(args, blank_id: int, subsample_factor: int) -> SegmenterConfig:
-    preset = PROFILES[args.profile or DEFAULT_PROFILE]
-
-    def pick(value, key):
-        return value if value is not None else preset[key]
-
-    return SegmenterConfig(
-        v_threshold=pick(getattr(args, "v_threshold", None), "v_threshold"),
-        onset_margin=pick(getattr(args, "onset_margin", None), "onset_margin"),
-        offset_margin=pick(getattr(args, "offset_margin", None), "offset_margin"),
-        subsample_factor=subsample_factor,
-        blank_id=blank_id,
-        min_len_ratio=getattr(args, "min_len_ratio", 0.1),
-    )
+    """An explicit flag beats the --profile preset, which beats SegmenterConfig's default."""
+    chosen = dict(PROFILES[args.profile or DEFAULT_PROFILE])
+    for key in ("v_threshold", "onset_margin", "offset_margin", "min_len_ratio"):
+        if getattr(args, key, None) is not None:
+            chosen[key] = getattr(args, key)
+    return SegmenterConfig(subsample_factor=subsample_factor, blank_id=blank_id, **chosen)
 
 
 def _reader_cfg(args, reader: PosteriorReader) -> SegmenterConfig:
@@ -157,9 +152,6 @@ def _open_sink(args):
 
 
 def cmd_segment(args) -> int:
-    if args.input is None and not args.stream:
-        print("error: give --input PATH or --stream", file=sys.stderr)
-        return 2
     if args.mode == "online" and args.format != "jsonl":
         print(f"error: --format {args.format} needs --mode offline; "
               "online mode writes JSON events", file=sys.stderr)
@@ -200,26 +192,8 @@ def _segment_online(reader: PosteriorReader, cfg: SegmenterConfig, sink) -> None
 
 def _write_events(events, frame_shift_ms: float, sink) -> None:
     if events:
-        sink.write("".join(_format_event(ev, frame_shift_ms) + "\n" for ev in events))
+        sink.write("".join(format_event(ev, frame_shift_ms) + "\n" for ev in events))
         sink.flush()
-
-
-def _format_event(event, frame_shift_ms: float) -> str:
-    start_sec = event.t_start * frame_shift_ms / 1000.0
-    if event.segment is None:
-        return (
-            f'{{"event": "{event.kind.value}", "step": {event.emitted_at_step}, '
-            f'"index": {event.index}, "k_first": {event.emitted_at_step}, '
-            f'"t_start": {event.t_start}, "start_sec": {start_sec:.6f}}}'
-        )
-    seg = event.segment
-    return (
-        f'{{"event": "{event.kind.value}", "step": {event.emitted_at_step}, '
-        f'"index": {event.index}, "k_first": {seg.k_first_nonblank}, '
-        f'"k_last": {seg.k_last_nonblank}, "t_start": {seg.t_start}, '
-        f'"t_end": {seg.t_end}, "start_sec": {seg.start_sec:.6f}, '
-        f'"end_sec": {seg.end_sec:.6f}, "transcript_len": {event.transcript_len}}}'
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -240,40 +214,36 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_coverage(what: str, seconds: float, reader: PosteriorReader) -> None:
+    """Refuse a reference that is more than one posterior frame longer or shorter."""
+    frames = int(round(seconds * 1000.0 / reader.frame_shift_ms))
+    total = reader.total_feature_frames
+    if abs(frames - total) > reader.subsample_factor:
+        raise ValueError(f"{what} covers {frames} frames but the stream has {total} "
+                         f"(> 1 posterior frame apart)")
+
+
 def cmd_eval(args) -> int:
     from .scoring import evaluate
 
+    if args.compare and args.wav is None:
+        print("error: --compare requires --wav", file=sys.stderr)
+        return 2
     with open(args.input, "rb") as source:
         reader = PosteriorReader(source)
         ref = read_annotation(args.ref)
-        r = reader.subsample_factor
-        total = reader.total_feature_frames
-        frame_shift_ms = reader.frame_shift_ms
-        ann_frames = int(round(ref.total_duration_sec * 1000.0 / frame_shift_ms))
-        if abs(ann_frames - total) > r:
-            print(
-                f"error: annotation covers {ann_frames} frames but the stream has {total} "
-                f"(> 1 posterior frame apart)", file=sys.stderr,
-            )
-            return 1
+        _check_coverage("annotation", ref.total_duration_sec, reader)
         hyp = _offline_segments(reader, _reader_cfg(args, reader))
+    total = reader.total_feature_frames
+    frame_shift_ms = reader.frame_shift_ms
     report = evaluate(hyp, ref, frame_shift_ms, total)
 
     if not args.compare:
         print(json.dumps(report.as_dict(), sort_keys=True))
         return 0
 
-    if args.wav is None:
-        print("error: --compare requires --wav", file=sys.stderr)
-        return 2
     samples, rate = read_wav_mono(args.wav)
-    wav_frames = int(round(len(samples) / rate * 1000.0 / frame_shift_ms))
-    if abs(wav_frames - total) > r:
-        print(
-            f"error: WAV covers {wav_frames} frames but the stream has {total} "
-            f"(> 1 posterior frame apart)", file=sys.stderr,
-        )
-        return 1
+    _check_coverage("WAV", len(samples) / rate, reader)
     from .energy import energy_vad
 
     energy_segments = [

@@ -41,34 +41,19 @@ def energy_vad(samples: np.ndarray, sample_rate_hz: int, frame_ms: float,
 
     energy = np.mean(samples[:n_frames * frame_len].reshape(n_frames, frame_len) ** 2, axis=1)
     active = energy > threshold
-    if not active.any():
-        return []
 
     # frame i is speech iff some above-threshold frame lies within the
     # preceding hangover_frames steps (inclusive of i itself)
     idx = np.arange(n_frames)
-    last_active = np.maximum.accumulate(np.where(active, idx, -n_frames))
-    speech = (idx - last_active) <= hangover_frames
+    last_active = np.maximum.accumulate(np.where(active, idx, -1))
+    speech = (last_active >= 0) & (idx - last_active <= hangover_frames)
 
-    segments = []
-    i = 0
-    index = 0
-    while i < n_frames:
-        if not speech[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_frames and speech[j + 1]:
-            j += 1
-        active_in_run = np.flatnonzero(active[i:j + 1]) + i
-        index += 1
-        segments.append(Segment(
-            index=index,
-            k_first_nonblank=i + 1,
-            k_last_nonblank=int(active_in_run[-1]) + 1,
-            t_start=i + 1,
-            t_end=j + 1,
-            frame_shift_ms=frame_ms,
-        ))
-        i = j + 1
-    return segments
+    # runs are [start, end) in 0-based frames; each starts on an active frame,
+    # so the last active frame of a run is last_active[end - 1]
+    edges = np.flatnonzero(np.diff(speech, prepend=False, append=False))
+    return [
+        Segment(index=index, k_first_nonblank=start + 1,
+                k_last_nonblank=int(last_active[end - 1]) + 1,
+                t_start=start + 1, t_end=end, frame_shift_ms=frame_ms)
+        for index, (start, end) in enumerate(edges.reshape(-1, 2).tolist(), start=1)
+    ]

@@ -29,7 +29,7 @@ from typing import BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
-from .core import PosteriorStream, ReferenceAnnotation, Segment, validate_rows
+from .core import PosteriorStream, ReferenceAnnotation, Segment, SegmentEvent, validate_rows
 from .errors import (BadMagic, FormatError, RowError, SinkError, TruncatedFile,
                      VersionMismatch)
 
@@ -197,17 +197,27 @@ def write_posteriors(stream: PosteriorStream, sink: str | Path | BinaryIO) -> No
             f.write(body)
 
 
-def format_segment_jsonl(segment: Segment) -> str:
-    return (
-        f'{{"index": {segment.index}, "t_start": {segment.t_start}, '
-        f'"t_end": {segment.t_end}, "start_sec": {segment.start_sec:.6f}, '
-        f'"end_sec": {segment.end_sec:.6f}}}'
-    )
+def _span_fields(s: Segment) -> str:
+    return (f'"t_start": {s.t_start}, "t_end": {s.t_end}, '
+            f'"start_sec": {s.start_sec:.6f}, "end_sec": {s.end_sec:.6f}')
+
+
+def format_event(event: SegmentEvent, frame_shift_ms: float) -> str:
+    """One online event as a JSON line without its newline; close and flush carry the span."""
+    head = (f'{{"event": "{event.kind.value}", "step": {event.emitted_at_step}, '
+            f'"index": {event.index}, ')
+    seg = event.segment
+    if seg is None:
+        start_sec = event.t_start * frame_shift_ms / 1000.0
+        return (head + f'"k_first": {event.emitted_at_step}, "t_start": {event.t_start}, '
+                f'"start_sec": {start_sec:.6f}}}')
+    return (head + f'"k_first": {seg.k_first_nonblank}, "k_last": {seg.k_last_nonblank}, '
+            f'{_span_fields(seg)}, "transcript_len": {event.transcript_len}}}')
 
 
 def _segment_lines(segments: list[Segment], fmt: str) -> list[str]:
     if fmt == "jsonl":
-        return [format_segment_jsonl(s) for s in segments]
+        return [f'{{"index": {s.index}, {_span_fields(s)}}}' for s in segments]
     if fmt == "ctm":
         return [
             f"utt 1 {s.start_sec:.6f} {s.end_sec - s.start_sec:.6f} speech"

@@ -21,20 +21,11 @@ segments_from_events() clips once the stream length is known.
 from __future__ import annotations
 
 import dataclasses
-from enum import Enum, auto
 from typing import Sequence
 
 from .core import EventKind, LabelStream, PosteriorStream, Segment, SegmentEvent, SegmenterConfig
 from .errors import InvalidConfig, InvalidState
 from .greedy import ctc_collapse, greedy_decode
-
-
-class Mode(Enum):
-    """Online segmenter states, as derived by OnlineSegmenter.mode."""
-
-    IDLE = auto()
-    IN_SPEECH = auto()
-    COUNTING_BLANKS = auto()
 
 
 def min_length_filter(output_len: int, encoded_len: int, alpha: float) -> bool:
@@ -132,30 +123,6 @@ class OnlineSegmenter:
         self._t_start = 0
         self._finished = False
 
-    # Introspection, mainly for tests and debugging.
-    @property
-    def mode(self) -> Mode:
-        if not self._open:
-            return Mode.IDLE
-        return Mode.IN_SPEECH if self._k == self._k_last else Mode.COUNTING_BLANKS
-
-    @property
-    def blank_run(self) -> int:
-        return self._k - self._k_last if self._open else 0
-
-    @property
-    def pending_segment(self) -> dict | None:
-        """Partial segment while a segment is open, else None."""
-        if not self._open:
-            return None
-        return {
-            "index": self._index,
-            "k_first_nonblank": self._k_first,
-            "k_last_nonblank": self._k_last,
-            "t_start": self._t_start,
-            "transcript_len": self._out_len,
-        }
-
     def step(self, label: int) -> list[SegmentEvent]:
         return self.push((label,))
 
@@ -232,8 +199,8 @@ def segments_from_events(events: list[SegmentEvent], cfg: SegmenterConfig,
     only touch stay apart), optionally applies the min-length filter from
     the transcript lengths carried on the events, and reindexes. Merged
     parts are separated by blanks, so their transcript lengths add up.
-    This is the offline result; segment_posteriors equals it with the
-    filter enabled.
+    This is the offline result; with the filter applied it equals
+    segment_posteriors.
     """
     spans: list[list] = []  # [first segment, k_last, t_end, transcript_len]
     for ev in events:
@@ -263,9 +230,11 @@ def segments_from_events(events: list[SegmentEvent], cfg: SegmenterConfig,
     return _reindex(segments)
 
 
-def segment_posteriors(stream: PosteriorStream, cfg: SegmenterConfig,
-                       apply_min_length: bool = True) -> list[Segment]:
-    """Full offline pipeline: greedy decode, segment, optionally length-filter."""
+def segment_posteriors(stream: PosteriorStream, cfg: SegmenterConfig) -> list[Segment]:
+    """Full offline pipeline: greedy decode, segment, length-filter.
+
+    cfg.min_len_ratio = 0.0 keeps every segment.
+    """
     if cfg.subsample_factor != stream.subsample_factor:
         raise InvalidConfig(
             f"config subsample_factor {cfg.subsample_factor} != "
@@ -276,6 +245,4 @@ def segment_posteriors(stream: PosteriorStream, cfg: SegmenterConfig,
     labels = greedy_decode(stream)
     segments = segment_offline(labels, cfg, stream.total_feature_frames,
                                frame_shift_ms=stream.frame_shift_ms)
-    if apply_min_length:
-        segments = filter_short_segments(segments, labels, cfg)
-    return segments
+    return filter_short_segments(segments, labels, cfg)

@@ -97,6 +97,23 @@ class TestSegmentCommand:
         assert events[1]["t_end"] == 16
         assert events[3]["t_end"] == 28
 
+    def test_online_event_golden_bytes(self, fig1_ctcp, capsys):
+        code, out, _ = run_cli(["segment", "--input", str(fig1_ctcp), "--mode", "online",
+                                *FIG1_FLAGS], capsys)
+        assert code == 0
+        assert out == (
+            '{"event": "open", "step": 3, "index": 1, "k_first": 3, "t_start": 4, '
+            '"start_sec": 0.040000}\n'
+            '{"event": "close", "step": 10, "index": 1, "k_first": 3, "k_last": 6, '
+            '"t_start": 4, "t_end": 16, "start_sec": 0.040000, "end_sec": 0.160000, '
+            '"transcript_len": 2}\n'
+            '{"event": "open", "step": 12, "index": 2, "k_first": 12, "t_start": 22, '
+            '"start_sec": 0.220000}\n'
+            '{"event": "flush", "step": 14, "index": 2, "k_first": 12, "k_last": 13, '
+            '"t_start": 22, "t_end": 28, "start_sec": 0.220000, "end_sec": 0.280000, '
+            '"transcript_len": 1}\n'
+        )
+
     def test_online_output_reconstructs_to_offline_output(self, fig1_ctcp, capsys):
         code, offline_out, _ = run_cli(
             ["segment", "--input", str(fig1_ctcp), *FIG1_FLAGS], capsys)
@@ -151,6 +168,12 @@ class TestSegmentCommand:
     def test_no_source_is_a_usage_error(self, capsys):
         code, _, err = run_cli(["segment"], capsys)
         assert code == 2
+
+    def test_input_and_stream_together_is_a_usage_error(self, fig1_ctcp, capsys):
+        code, out, err = run_cli(["segment", "--input", str(fig1_ctcp), "--stream"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--stream" in err
 
     def test_bad_flag_value_exits_two(self, fig1_ctcp, capsys):
         code = main(["segment", "--input", str(fig1_ctcp), "--mode", "sideways"])
@@ -244,11 +267,27 @@ def _parse_events(out):
     return events
 
 
+# segment and eval take the same segmenter flags; --input and --ref are not opened here.
+PROFILE_COMMANDS = (["segment", "--input", "x"], ["eval", "--input", "x", "--ref", "y"])
+
+
+def _resolved_cfgs(*flags):
+    """The config each command of PROFILE_COMMANDS resolves from the same flags."""
+    return [_resolve_cfg(build_parser().parse_args([*command, *flags]), blank_id=0,
+                         subsample_factor=4)
+            for command in PROFILE_COMMANDS]
+
+
 class TestProfiles:
     def test_defaults_are_csj(self):
-        args = build_parser().parse_args(["segment", "--input", "x"])
-        cfg = _resolve_cfg(args, blank_id=0, subsample_factor=4)
-        assert (cfg.v_threshold, cfg.onset_margin, cfg.offset_margin) == (16, 2, 3)
+        for cfg in _resolved_cfgs():
+            assert (cfg.v_threshold, cfg.onset_margin, cfg.offset_margin) == (16, 2, 3)
+
+    def test_min_len_ratio_defaults_to_the_config_default(self):
+        for cfg in _resolved_cfgs():
+            assert cfg.min_len_ratio == SegmenterConfig().min_len_ratio
+        for cfg in _resolved_cfgs("--min-len-ratio", "0.25"):
+            assert cfg.min_len_ratio == 0.25
 
     @pytest.mark.parametrize("profile,expected", [
         ("csj", (16, 2, 3)),
@@ -256,16 +295,12 @@ class TestProfiles:
         ("ted-uni", (16, 10, 2)),
     ])
     def test_named_profiles(self, profile, expected):
-        args = build_parser().parse_args(["segment", "--input", "x",
-                                          "--profile", profile])
-        cfg = _resolve_cfg(args, blank_id=0, subsample_factor=4)
-        assert (cfg.v_threshold, cfg.onset_margin, cfg.offset_margin) == expected
+        for cfg in _resolved_cfgs("--profile", profile):
+            assert (cfg.v_threshold, cfg.onset_margin, cfg.offset_margin) == expected
 
     def test_explicit_flags_beat_profile(self):
-        args = build_parser().parse_args(["segment", "--input", "x",
-                                          "--profile", "ted-bi", "-V", "20"])
-        cfg = _resolve_cfg(args, blank_id=0, subsample_factor=4)
-        assert (cfg.v_threshold, cfg.onset_margin, cfg.offset_margin) == (20, 4, 10)
+        for cfg in _resolved_cfgs("--profile", "ted-bi", "-V", "20"):
+            assert (cfg.v_threshold, cfg.onset_margin, cfg.offset_margin) == (20, 4, 10)
 
     def test_profile_table_matches_tuned_values(self):
         assert PROFILES["csj"] == {"v_threshold": 16, "onset_margin": 2,
@@ -383,6 +418,13 @@ class TestEvalCommand:
         code, _, _ = run_cli(["eval", "--input", str(ctcp), "--ref", str(ann),
                               "--compare"], capsys)
         assert code == 2
+
+    def test_compare_without_wav_fails_before_reading_input(self, tmp_path, capsys):
+        code, out, err = run_cli(["eval", "--input", str(tmp_path / "nonexistent.ctcp"),
+                                  "--ref", str(tmp_path / "a.json"), "--compare"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--wav" in err
 
 
 class TestBenchCommand:

@@ -78,3 +78,33 @@ def test_segment_count_non_increasing_in_threshold_for_uniform_bursts():
             for th in (1e-5, 1e-3, 0.1, 0.2, 0.5)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def _brute_force_runs(active, hangover):
+    """(t_start, t_end, k_last) per speech run, 1-based, from a per-frame scan."""
+    speech = [any(active[j] for j in range(max(0, i - hangover), i + 1))
+              for i in range(len(active))]
+    runs = []
+    for i, is_speech in enumerate(speech):
+        if not is_speech:
+            continue
+        if i == 0 or not speech[i - 1]:
+            runs.append([i + 1, i + 1, None])
+        runs[-1][1] = i + 1
+        if active[i]:
+            runs[-1][2] = i + 1
+    return [tuple(run) for run in runs]
+
+
+def test_matches_a_per_frame_scan_on_random_frames():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        active = rng.random(n) < rng.uniform(0.0, 0.6)
+        hangover = int(rng.integers(0, 2 * n + 2))
+        x = _signal(n, [(i, i) for i in np.flatnonzero(active)])
+        segs = energy_vad(x, SR, FRAME_MS, threshold=0.01, hangover_frames=hangover)
+        assert [(s.t_start, s.t_end, s.k_last_nonblank) for s in segs] == \
+            _brute_force_runs(active, hangover)
+        assert [s.index for s in segs] == list(range(1, len(segs) + 1))
+        assert all(s.k_first_nonblank == s.t_start for s in segs)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcseg import (EventKind, InvalidConfig, InvalidState, LabelStream, Mode,
-                    OnlineSegmenter, SegmenterConfig, encoded_length,
-                    filter_short_segments, min_length_filter, segment_offline,
-                    segment_posteriors, segments_from_events)
+from ctcseg import (EventKind, InvalidConfig, InvalidState, LabelStream, OnlineSegmenter,
+                    SegmenterConfig, encoded_length, filter_short_segments,
+                    min_length_filter, segment_offline, segment_posteriors,
+                    segments_from_events)
 
 from conftest import FIG1_LABELS, FIG1_NUM_LABELS, stream_from_labels
 from oracle import oracle_anchor_spans, oracle_segments, random_stream_case
@@ -173,15 +173,6 @@ class TestOnlineSegmenter:
         events = seg.step(1)
         assert events[0].kind is EventKind.OPEN
         assert events[0].index == 1
-
-    def test_state_invariants_during_walk(self):
-        rng = np.random.default_rng(3)
-        seg = OnlineSegmenter(FIG1_CFG)
-        for lab in rng.integers(0, 3, size=300):
-            seg.step(int(lab))
-            assert (seg.pending_segment is not None) == (seg.mode is not Mode.IDLE)
-            if seg.mode is Mode.IN_SPEECH:
-                assert seg.blank_run == 0
 
     def test_close_latency_equals_threshold(self):
         rng = np.random.default_rng(11)
