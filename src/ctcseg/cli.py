@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import os
@@ -21,8 +20,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only what `segment` needs is loaded here; each other command imports its
 # own modules when it runs.
-from .core import ReferenceAnnotation, Segment, SegmenterConfig
-from .errors import CtcSegError, InvalidConfig
+from .core import ReferenceAnnotation, Segment, SegmenterConfig, check_layout
+from .errors import CtcSegError
 from .io import (PosteriorReader, format_event, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
 from .segmenter import OnlineSegmenter, segment_posteriors, segments_from_events
@@ -129,8 +128,7 @@ def _reader_cfg(args, reader: PosteriorReader) -> SegmenterConfig:
     blank_id = getattr(args, "blank_id", None)
     if blank_id is None:
         blank_id = reader.blank_id
-    if not 0 <= blank_id < reader.num_labels:
-        raise InvalidConfig(f"blank_id {blank_id} out of range for {reader.num_labels} labels")
+    check_layout(reader.num_labels, blank_id, reader.frame_shift_ms, reader.subsample_factor)
     return _resolve_cfg(args, blank_id, reader.subsample_factor)
 
 
@@ -246,12 +244,9 @@ def cmd_eval(args) -> int:
     _check_coverage("WAV", len(samples) / rate, reader)
     from .energy import energy_vad
 
-    energy_segments = [
-        dataclasses.replace(s, t_end=min(s.t_end, total))
-        for s in energy_vad(samples, rate, frame_shift_ms,
-                            args.energy_threshold, args.hangover)
-        if s.t_start <= total
-    ]
+    energy_segments = [s for s in energy_vad(samples, rate, frame_shift_ms,
+                                             args.energy_threshold, args.hangover)
+                       if s.t_start <= total]
     energy_report = evaluate(energy_segments, ref, frame_shift_ms, total)
     print(json.dumps(
         {"ctc_blank_run": report.as_dict(), "energy_vad": energy_report.as_dict()},

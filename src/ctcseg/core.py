@@ -23,6 +23,22 @@ PROB_SUM_TOLERANCE = 1e-4
 _GRID_EPS = 1e-9
 
 
+def check_layout(num_labels: int, blank_id: int, frame_shift_ms: float,
+                 subsample_factor: int) -> None:
+    """Check a stream description; raise InvalidConfig naming the first bad field.
+
+    A valid stream has a valid layout (this check) and valid rows (validate_rows).
+    """
+    if num_labels < 1:
+        raise InvalidConfig(f"num_labels must be >= 1, got {num_labels}")
+    if not 0 <= blank_id < num_labels:
+        raise InvalidConfig(f"blank_id {blank_id} out of range for {num_labels} labels")
+    if subsample_factor < 1:
+        raise InvalidConfig(f"subsample_factor must be >= 1, got {subsample_factor}")
+    if not 0 < frame_shift_ms < math.inf:  # NaN fails too
+        raise InvalidConfig(f"frame_shift_ms must be positive and finite, got {frame_shift_ms}")
+
+
 def validate_rows(rows: np.ndarray, probabilities: bool, first_row: int = 1) -> None:
     """Check a (steps, labels) float32 block of score rows; raise on the first bad one.
 
@@ -97,16 +113,7 @@ class PosteriorStream:
         if frames.ndim != 2:
             raise ValueError(f"frames must be 2-D (steps, labels), got shape {frames.shape}")
         object.__setattr__(self, "frames", frames)
-        if frames.shape[1] < 1:
-            raise ValueError("streams need at least one label")
-        if self.frame_shift_ms <= 0:
-            raise InvalidConfig(f"frame_shift_ms must be positive, got {self.frame_shift_ms}")
-        if self.subsample_factor < 1:
-            raise InvalidConfig(f"subsample_factor must be >= 1, got {self.subsample_factor}")
-        if not 0 <= self.blank_id < frames.shape[1]:
-            raise InvalidConfig(
-                f"blank_id {self.blank_id} out of range for {frames.shape[1]} labels"
-            )
+        check_layout(frames.shape[1], self.blank_id, self.frame_shift_ms, self.subsample_factor)
         validate_rows(frames, probabilities=not self.presoftmax)
 
     @property
@@ -267,8 +274,9 @@ class ReferenceAnnotation:
     def __post_init__(self):
         regions = tuple((float(s), float(e)) for s, e in self.speech_regions)
         object.__setattr__(self, "speech_regions", regions)
-        if self.total_duration_sec <= 0:
-            raise ValueError(f"total_duration_sec must be positive, got {self.total_duration_sec}")
+        if not 0 < self.total_duration_sec < math.inf:
+            raise ValueError(f"total_duration_sec must be positive and finite, "
+                             f"got {self.total_duration_sec}")
         if self.label_alphabet_size < 2:
             raise InvalidConfig("label alphabet needs at least blank plus one label")
         prev_end = 0.0

@@ -22,15 +22,15 @@ complete rows, so file and stream ingestion share a single reader.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
-from .core import PosteriorStream, ReferenceAnnotation, Segment, SegmentEvent, validate_rows
-from .errors import (BadMagic, FormatError, RowError, SinkError, TruncatedFile,
+from .core import (PosteriorStream, ReferenceAnnotation, Segment, SegmentEvent, check_layout,
+                   validate_rows)
+from .errors import (BadMagic, FormatError, InvalidConfig, RowError, SinkError, TruncatedFile,
                      VersionMismatch)
 
 MAGIC = b"CTCP"
@@ -81,15 +81,10 @@ class PosteriorReader:
             raise BadMagic(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
         if version != VERSION:
             raise VersionMismatch(f"unsupported version {version}, expected {VERSION}")
-        if num_labels < 1:
-            raise FormatError("header declares zero labels")
-        if blank_id >= num_labels:
-            raise FormatError(f"header blank_id {blank_id} out of range for {num_labels} labels")
-        if subsample_factor < 1:
-            raise FormatError("header subsample_factor must be >= 1")
-        if not (math.isfinite(frame_shift_ms) and frame_shift_ms > 0):
-            raise FormatError(f"header frame_shift_ms must be positive and finite, "
-                              f"got {frame_shift_ms}")
+        try:
+            check_layout(num_labels, blank_id, frame_shift_ms, subsample_factor)
+        except InvalidConfig as exc:
+            raise FormatError(f"header: {exc}") from exc
         self.num_frames = num_frames
         self.num_labels = num_labels
         self.blank_id = blank_id
@@ -265,12 +260,16 @@ def read_wav_mono(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a 16-bit mono PCM RIFF file; returns (float32 samples in [-1, 1], rate)."""
     import wave
 
-    with wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1:
-            raise FormatError(f"{path}: expected mono, got {w.getnchannels()} channels")
-        if w.getsampwidth() != 2:
-            raise FormatError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
-        rate = w.getframerate()
-        raw = w.readframes(w.getnframes())
+    try:
+        with wave.open(str(path), "rb") as w:
+            if w.getnchannels() != 1:
+                raise FormatError(f"{path}: expected mono, got {w.getnchannels()} channels")
+            if w.getsampwidth() != 2:
+                raise FormatError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
+            if (rate := w.getframerate()) < 1:
+                raise FormatError(f"{path}: sample rate must be positive, got {rate}")
+            raw = w.readframes(w.getnframes())
+    except (wave.Error, EOFError) as exc:  # not RIFF/WAVE, or a header cut short
+        raise FormatError(f"{path}: not a readable WAV file ({exc or 'truncated'})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
     return samples, rate

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,14 +27,7 @@ class EvalReport:
     n_ref_segments: int
 
     def as_dict(self) -> dict:
-        return {
-            "frame_precision": self.frame_precision,
-            "frame_recall": self.frame_recall,
-            "frame_f1": self.frame_f1,
-            "boundary_mae_frames": self.boundary_mae_frames,
-            "n_hyp_segments": self.n_hyp_segments,
-            "n_ref_segments": self.n_ref_segments,
-        }
+        return asdict(self)
 
 
 def evaluate(hyp: list[Segment], ref: ReferenceAnnotation, frame_shift_ms: float,

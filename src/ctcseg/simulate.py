@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PosteriorStream, ReferenceAnnotation, SegmenterConfig, \
+from .core import PosteriorStream, ReferenceAnnotation, SegmenterConfig, check_layout, \
     first_frame_at_or_after, last_frame_before
 from .errors import InvalidConfig
 
@@ -40,10 +40,7 @@ def synthesize_posteriors(ref: ReferenceAnnotation, cfg: SegmenterConfig,
     if jitter_steps < 0:
         raise InvalidConfig(f"jitter_steps must be non-negative, got {jitter_steps}")
     num_labels = ref.label_alphabet_size
-    if not 0 <= cfg.blank_id < num_labels:
-        raise InvalidConfig(
-            f"blank_id {cfg.blank_id} out of range for alphabet of {num_labels}"
-        )
+    check_layout(num_labels, cfg.blank_id, frame_shift_ms, cfg.subsample_factor)
 
     r = cfg.subsample_factor
     step_ms = r * frame_shift_ms

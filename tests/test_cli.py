@@ -242,11 +242,16 @@ class TestSegmentCommand:
         proc.stderr.close()
 
 
+def _ctcp_header(num_frames=0, num_labels=3, blank_id=0, frame_shift_ms=10.0,
+                 subsample_factor=1):
+    """A probability-stream CTCP header, bad values included."""
+    return struct.pack("<4sHBBIIIfI", b"CTCP", 1, 1, 0, num_frames, num_labels, blank_id,
+                       frame_shift_ms, subsample_factor)
+
+
 def _ctcp_bytes(frames):
     """Probability rows as CTCP, bad ones included (PosteriorStream would refuse them)."""
-    header = struct.pack("<4sHBBIIIfI", b"CTCP", 1, 1, 0, len(frames), frames.shape[1], 0,
-                         10.0, 1)
-    return header + frames.astype("<f4").tobytes()
+    return _ctcp_header(len(frames), frames.shape[1]) + frames.astype("<f4").tobytes()
 
 
 def _parse_events(out):
@@ -425,6 +430,57 @@ class TestEvalCommand:
         assert code == 2
         assert out == ""
         assert "--wav" in err
+
+
+def _wav_at_rate_zero():
+    """A 16-bit mono WAV whose header declares 0 Hz; wave refuses to write one."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)
+    data = bytes(32)
+    return (b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+
+
+SEGMENT = ["segment", "--input", "{ctcp}"]
+EVAL = ["eval", "--input", "{ctcp}", "--ref", "{ref}"]
+COMPARE = [*EVAL, "--compare", "--wav", "{wav}"]
+
+
+# argv with {ctcp}/{ref}/{wav}/{out} placeholders, and the bad bytes that replace a
+# valid input; {out} names an output file that must never be written.
+@pytest.mark.parametrize("argv, bad_files", [
+    pytest.param(SEGMENT, {"ctcp": _ctcp_header(num_labels=0)}, id="zero-labels"),
+    pytest.param(SEGMENT, {"ctcp": _ctcp_header(blank_id=3)}, id="blank-out-of-range"),
+    pytest.param(SEGMENT, {"ctcp": _ctcp_header(subsample_factor=0)}, id="subsample-zero"),
+    pytest.param(SEGMENT, {"ctcp": _ctcp_header(frame_shift_ms=float("nan"))},
+                 id="frame-shift-nan"),
+    pytest.param(SEGMENT, {"ctcp": _ctcp_header(num_frames=2) + struct.pack("<3f", 1, 0, 0)},
+                 id="truncated"),
+    pytest.param(EVAL, {"ref": b'{"duration_sec": 2.0, "regions": [[0.39'},
+                 id="annotation-not-json"),
+    pytest.param(EVAL, {"ref": b'{"regions": []}'}, id="annotation-no-duration"),
+    pytest.param(EVAL, {"ref": b'{"duration_sec": Infinity, "regions": []}'},
+                 id="annotation-infinite-duration"),
+    pytest.param(COMPARE, {"wav": b"not a wav file"}, id="wav-not-riff"),
+    pytest.param(COMPARE, {"wav": b"RIFF"}, id="wav-bare-riff"),
+    pytest.param(COMPARE, {"wav": _wav_at_rate_zero()}, id="wav-rate-zero"),
+    *(pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}",
+                    f"--frame-shift={shift}"], {}, id=f"simulate-frame-shift-{shift}")
+      for shift in ("0", "-10", "inf", "nan")),
+])
+def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, write_annotation,
+                                                 write_wav, argv, bad_files):
+    ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)
+    paths = {"ctcp": ctcp, "ref": ref, "wav": write_wav(np.zeros(32000)),
+             "out": tmp_path / "out.ctcp"}
+    for name, data in bad_files.items():
+        paths[name] = tmp_path / f"bad-{name}"
+        paths[name].write_bytes(data)
+    code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not paths["out"].exists()
 
 
 class TestBenchCommand:

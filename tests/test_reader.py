@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctcseg.io
-from ctcseg import (FormatError, NonFiniteScore, OnlineSegmenter, PosteriorReader,
-                    PosteriorStream, ProbabilityOutOfRange, RowSumViolation,
+from ctcseg import (FormatError, InvalidConfig, NonFiniteScore, OnlineSegmenter,
+                    PosteriorReader, PosteriorStream, ProbabilityOutOfRange, RowSumViolation,
                     SegmenterConfig, TruncatedFile)
 
 HEADER = struct.Struct("<4sHBBIIIfI")
@@ -71,6 +71,28 @@ class TestRowErrors:
         data = ctcp(np.empty((0, 2)), frame_shift_ms=shift)
         with pytest.raises(FormatError, match="frame_shift_ms"):
             PosteriorReader(io.BytesIO(data))
+
+
+# (num_labels, blank_id, frame_shift_ms, subsample_factor), each breaking one layout rule.
+BAD_LAYOUTS = [
+    pytest.param(0, 0, 10.0, 1, id="zero-labels"),
+    pytest.param(2, 2, 10.0, 1, id="blank-out-of-range"),
+    pytest.param(2, 0, 10.0, 0, id="subsample-zero"),
+    pytest.param(2, 0, float("nan"), 1, id="shift-nan"),
+    pytest.param(2, 0, float("inf"), 1, id="shift-inf"),
+    pytest.param(2, 0, 0.0, 1, id="shift-zero"),
+    pytest.param(2, 0, -10.0, 1, id="shift-negative"),
+]
+
+
+@pytest.mark.parametrize("num_labels, blank_id, shift, r", BAD_LAYOUTS)
+def test_stream_and_reader_refuse_the_same_layouts(num_labels, blank_id, shift, r):
+    with pytest.raises(InvalidConfig):
+        PosteriorStream(frames=np.empty((0, num_labels), dtype=np.float32), blank_id=blank_id,
+                        frame_shift_ms=shift, subsample_factor=r)
+    header = HEADER.pack(b"CTCP", 1, 1, 0, 0, num_labels, blank_id, shift, r)
+    with pytest.raises(FormatError, match="^header: "):
+        PosteriorReader(io.BytesIO(header))
 
 
 class TestBlocks:
