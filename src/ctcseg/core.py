@@ -18,6 +18,10 @@ from .errors import InvalidConfig, NonFiniteScore, ProbabilityOutOfRange, RowSum
 
 # Tolerance for "rows sum to one" checks on probability streams.
 PROB_SUM_TOLERANCE = 1e-4
+# |s - 1| <= 1e-4 in float32 as exact bounds on s: s - 1 is exact for s in [0.5, 2]
+# (Sterbenz), no float32 lies between float32(1e-4) and 1e-4, and other s fail both.
+_SUM_LO = 1.0 - float(np.float32(PROB_SUM_TOLERANCE))
+_SUM_HI = 1.0 + float(np.float32(PROB_SUM_TOLERANCE))
 
 # Guard against float dust when snapping second-valued times onto frame grids.
 _GRID_EPS = 1e-9
@@ -35,8 +39,10 @@ def check_layout(num_labels: int, blank_id: int, frame_shift_ms: float,
         raise InvalidConfig(f"blank_id {blank_id} out of range for {num_labels} labels")
     if subsample_factor < 1:
         raise InvalidConfig(f"subsample_factor must be >= 1, got {subsample_factor}")
-    if not 0 < frame_shift_ms < math.inf:  # NaN fails too
-        raise InvalidConfig(f"frame_shift_ms must be positive and finite, got {frame_shift_ms}")
+    with np.errstate(over="ignore"):  # as the CTCP header's f32: 1e40 reads inf, 1e-46 reads 0
+        shift = np.float32(frame_shift_ms)
+    if not 0 < shift < math.inf:  # NaN fails too
+        raise InvalidConfig(f"frame_shift_ms must be a positive finite f32, got {frame_shift_ms}")
 
 
 def validate_rows(rows: np.ndarray, probabilities: bool, first_row: int = 1) -> None:
@@ -45,18 +51,23 @@ def validate_rows(rows: np.ndarray, probabilities: bool, first_row: int = 1) -> 
     Every row must be finite; probability rows must also sum to one within
     PROB_SUM_TOLERANCE and lie in [0, 1], checked in that order. The error
     names the row as first_row + its index in the block and carries that
-    number as .row. The common all-good case costs a few whole-block
-    reductions.
+    number as .row. An all-good block passes on the extremes of its scores
+    and row sums alone; any other block is scanned row by row.
     """
     if not rows.shape[0]:
         return
+    # argmin/argmax beat a ufunc reduce on small blocks, and both find the first NaN.
+    lo, hi = rows.item(rows.argmin()), rows.item(rows.argmax())
+    if not probabilities and -math.inf < lo and hi < math.inf:
+        return
+    if probabilities and 0.0 <= lo and hi <= 1.0:  # in range, so the sums cannot overflow
+        sums = np.add.reduce(rows, 1)
+        if _SUM_LO <= sums.item(sums.argmin()) and sums.item(sums.argmax()) <= _SUM_HI:
+            return
     with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite scores
         sums = rows.sum(axis=1)
-        deviation = np.abs(sums - 1.0)  # NaN for a row holding NaN or inf
     if probabilities:
-        # NaN fails every comparison, so a row holding NaN misses this fast path too.
-        if rows.min() >= 0.0 and rows.max() <= 1.0 and deviation.max() <= PROB_SUM_TOLERANCE:
-            return
+        deviation = np.abs(sums - 1.0)  # NaN for a row holding NaN or inf
         bad = ((rows.min(axis=1) < 0.0) | (rows.max(axis=1) > 1.0)
                | ~(deviation <= PROB_SUM_TOLERANCE))
     else:

@@ -108,8 +108,7 @@ class PosteriorReader:
         """
         num_labels, row_bytes = self.num_labels, 4 * self.num_labels
         capacity = min(max(1, BLOCK_BYTES // row_bytes), self.num_frames) * row_bytes
-        # A row longer than BLOCK_BYTES gets room as its bytes arrive.
-        buf = np.empty(min(capacity, BLOCK_BYTES), dtype=np.uint8)
+        buf = np.empty(0, dtype=np.uint8)
         done = have = 0  # rows handed on; bytes of the row in progress
         # The header read can leave bytes in a buffered reader's own buffer,
         # and readinto1 would copy those and then wait on one more raw read;
@@ -118,12 +117,13 @@ class PosteriorReader:
         read = self._readinto if read1 is None else (
             lambda view: _copy_into(view, read1(len(view))))
         while done < self.num_frames:
-            if have == buf.size:
-                grown = np.empty(min(2 * buf.size, capacity), dtype=np.uint8)
+            if have == buf.size:  # first read, or a long row filled it: new buffer and views
+                grown = np.empty(min(max(2 * buf.size, BLOCK_BYTES), capacity), dtype=np.uint8)
                 grown[:have] = buf[:have]
-                buf = grown
+                buf, mem = grown, memoryview(grown)
+                rows = buf[:buf.size - buf.size % row_bytes].view("<f4").reshape(-1, num_labels)
             end = min(buf.size, (self.num_frames - done) * row_bytes)
-            n = read(memoryview(buf)[have:end])
+            n = read(mem[have:end])
             read = self._readinto
             if not n:
                 offset = HEADER_SIZE + done * row_bytes + have
@@ -133,7 +133,7 @@ class PosteriorReader:
             k = have // row_bytes
             if not k:
                 continue
-            block = buf[:k * row_bytes].view("<f4").reshape(k, num_labels)
+            block = rows[:k]
             try:
                 validate_rows(block, self.probabilities, first_row=done + 1)
             except RowError as exc:
@@ -143,7 +143,8 @@ class PosteriorReader:
             yield block
             done += k
             have -= k * row_bytes
-            buf[:have] = buf[k * row_bytes:k * row_bytes + have]
+            if have:
+                buf[:have] = buf[k * row_bytes:k * row_bytes + have]
 
     def labels(self) -> Iterator[np.ndarray]:
         """Greedy label IDs (per-row argmax, ties to the lowest ID), one array per block."""

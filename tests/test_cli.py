@@ -466,8 +466,9 @@ COMPARE = [*EVAL, "--compare", "--wav", "{wav}"]
     pytest.param(COMPARE, {"wav": _wav_at_rate_zero()}, id="wav-rate-zero"),
     *(pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}",
                     f"--frame-shift={shift}"], {}, id=f"simulate-frame-shift-{shift}")
-      for shift in ("0", "-10", "inf", "nan")),
+      for shift in ("0", "-10", "inf", "nan", "1e40", "1e-46")),
 ])
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, write_annotation,
                                                  write_wav, argv, bad_files):
     ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)

@@ -1,6 +1,7 @@
 """The block reader: validation per block, block boundaries, hostile input, live pipes."""
 
 import io
+import itertools
 import os
 import selectors
 import struct
@@ -82,6 +83,8 @@ BAD_LAYOUTS = [
     pytest.param(2, 0, float("inf"), 1, id="shift-inf"),
     pytest.param(2, 0, 0.0, 1, id="shift-zero"),
     pytest.param(2, 0, -10.0, 1, id="shift-negative"),
+    pytest.param(2, 0, 1e40, 1, id="shift-beyond-float32"),
+    pytest.param(2, 0, 1e-46, 1, id="shift-float32-rounds-to-zero"),
 ]
 
 
@@ -90,9 +93,24 @@ def test_stream_and_reader_refuse_the_same_layouts(num_labels, blank_id, shift, 
     with pytest.raises(InvalidConfig):
         PosteriorStream(frames=np.empty((0, num_labels), dtype=np.float32), blank_id=blank_id,
                         frame_shift_ms=shift, subsample_factor=r)
-    header = HEADER.pack(b"CTCP", 1, 1, 0, 0, num_labels, blank_id, shift, r)
+    with np.errstate(over="ignore"):  # the header holds the shift as float32 makes it
+        header = HEADER.pack(b"CTCP", 1, 1, 0, 0, num_labels, blank_id, np.float32(shift), r)
     with pytest.raises(FormatError, match="^header: "):
         PosteriorReader(io.BytesIO(header))
+
+
+class Trickle:
+    """A source whose every read hands over 1-7 bytes, as a slow pipe might."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = memoryview(data), 0
+        self.sizes = itertools.cycle([1, 7, 3, 5, 2, 6, 4])
+
+    def readinto1(self, view) -> int:
+        n = min(len(view), next(self.sizes), len(self.data) - self.pos)
+        view[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n
 
 
 class TestBlocks:
@@ -129,6 +147,23 @@ class TestBlocks:
         rows = one_hot_rows([5, 2, 9], 10)  # 40-byte rows, 48-byte blocks
         assert PosteriorReader(io.BytesIO(ctcp(rows))).to_stream().frames.tobytes() == \
             rows.tobytes()
+
+    # 160-byte rows grow the 48-byte buffer twice, to 96 and then 160 bytes;
+    # 12-byte rows leave a partial row to carry after most blocks.
+    @pytest.mark.parametrize("num_labels", [40, 3])
+    def test_rows_arriving_a_few_bytes_at_a_time(self, small_blocks, num_labels):
+        labels = [1, 0, 2, 2, 0, 1, 0]
+        rows = one_hot_rows(labels, num_labels)
+        data = ctcp(rows)
+        assert np.concatenate(list(PosteriorReader(Trickle(data)).labels())).tolist() == labels
+        assert np.array_equal(np.stack(list(PosteriorReader(Trickle(data)).rows())), rows)
+        assert PosteriorReader(Trickle(data)).to_stream().frames.tobytes() == rows.tobytes()
+        rows[3] = 0.5
+        seen = []
+        with pytest.raises(RowSumViolation, match="row 4"):
+            for row in PosteriorReader(Trickle(ctcp(rows))).rows():
+                seen.append(row)
+        assert np.array_equal(np.stack(seen), rows[:3])
 
 
 _header_fields = st.tuples(
