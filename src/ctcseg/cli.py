@@ -348,6 +348,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # ctcseg commands are pipeline filters. As SCHED_BATCH, a write to the input pipe
+    # wakes this process without preempting the writer in the middle of its work.
+    with contextlib.suppress(AttributeError, OSError):  # not Linux, or not permitted
+        if os.sched_getscheduler(0) == os.SCHED_OTHER:  # leave real-time and idle policies
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     sys.exit(main())
 
 

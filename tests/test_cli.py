@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -528,3 +529,18 @@ def test_module_invocation_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "segment" in proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"), reason="Linux scheduling policies")
+def test_command_runs_as_sched_batch_and_main_keeps_the_caller_policy(fig1_ctcp, capsys):
+    policy = os.sched_getscheduler(0)
+    probe = ("import atexit, os, sys; from ctcseg.cli import entrypoint; "
+             "atexit.register(lambda: print(os.sched_getscheduler(0))); "
+             "sys.argv[1:] = ['segment', '--input', sys.argv[1]]; entrypoint()")
+    proc = subprocess.run([sys.executable, "-c", probe, str(fig1_ctcp)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    expected = os.SCHED_BATCH if policy == os.SCHED_OTHER else policy
+    assert int(proc.stdout.splitlines()[-1]) == expected
+    assert run_cli(["segment", "--input", str(fig1_ctcp)], capsys)[0] == 0
+    assert os.sched_getscheduler(0) == policy
