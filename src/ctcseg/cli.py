@@ -20,7 +20,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only what `segment` needs is loaded here; each other command imports its
 # own modules when it runs.
-from .core import ReferenceAnnotation, Segment, SegmenterConfig, check_layout
+from .core import ReferenceAnnotation, Segment, SegmenterConfig, check_layout, steps_in
 from .errors import CtcSegError
 from .io import (PosteriorReader, format_event, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
@@ -259,7 +259,9 @@ def _synthetic_bench_stream(args):
     """Alternating 2 s speech / 1 s silence filler for --input-less bench runs."""
     from .simulate import synthesize_posteriors
 
-    duration = args.duration
+    duration, frame_shift_ms = args.duration, 10.0
+    cfg = SegmenterConfig(subsample_factor=args.subsample_factor, min_len_ratio=0.0)
+    steps_in(duration, frame_shift_ms, cfg.subsample_factor)  # bounds the loop below
     regions = []
     t = 0.5
     while t + 2.0 < duration:
@@ -267,8 +269,8 @@ def _synthetic_bench_stream(args):
         t += 3.0
     ref = ReferenceAnnotation(speech_regions=tuple(regions), total_duration_sec=duration,
                               label_alphabet_size=args.num_labels)
-    cfg = SegmenterConfig(subsample_factor=args.subsample_factor, min_len_ratio=0.0)
-    return synthesize_posteriors(ref, cfg, jitter_steps=1, spike_gap_max=8, seed=args.seed)
+    return synthesize_posteriors(ref, cfg, jitter_steps=1, spike_gap_max=8, seed=args.seed,
+                                 frame_shift_ms=frame_shift_ms)
 
 
 def cmd_bench(args) -> int:

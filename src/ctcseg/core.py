@@ -45,14 +45,24 @@ def check_layout(num_labels: int, blank_id: int, frame_shift_ms: float,
         raise InvalidConfig(f"frame_shift_ms must be a positive finite f32, got {frame_shift_ms}")
 
 
+def steps_in(duration_sec: float, frame_shift_ms: float, subsample_factor: int) -> int:
+    """Whole steps in duration_sec, raw frames rounded half to even; at most 2**32 - 1."""
+    steps = round(duration_sec * 1000.0 / frame_shift_ms, 0) // subsample_factor
+    if not steps < 2**32:  # the CTCP header's u32; as floats, so inf and NaN fail too
+        raise InvalidConfig(f"{duration_sec} s at {frame_shift_ms} ms must be < 2**32 steps")
+    return int(steps)
+
+
 def validate_rows(rows: np.ndarray, probabilities: bool, first_row: int = 1) -> None:
     """Check a (steps, labels) float32 block of score rows; raise on the first bad one.
 
     Every row must be finite; probability rows must also sum to one within
     PROB_SUM_TOLERANCE and lie in [0, 1], checked in that order. The error
     names the row as first_row + its index in the block and carries that
-    number as .row. An all-good block passes on the extremes of its scores
-    and row sums alone; any other block is scanned row by row.
+    number as .row. A block passes when the extremes of its scores and row
+    sums do, which is exactly when every row passes; a failing block is halved,
+    first half first, down to its first bad row. Rows are in C order, so that
+    a row sums alike in a block and alone (PosteriorStream makes them so).
     """
     if not rows.shape[0]:
         return
@@ -64,27 +74,17 @@ def validate_rows(rows: np.ndarray, probabilities: bool, first_row: int = 1) -> 
         sums = np.add.reduce(rows, 1)
         if _SUM_LO <= sums.item(sums.argmin()) and sums.item(sums.argmax()) <= _SUM_HI:
             return
-    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite scores
-        sums = rows.sum(axis=1)
-    if probabilities:
-        deviation = np.abs(sums - 1.0)  # NaN for a row holding NaN or inf
-        bad = ((rows.min(axis=1) < 0.0) | (rows.max(axis=1) > 1.0)
-               | ~(deviation <= PROB_SUM_TOLERANCE))
-    else:
-        # A finite row whose float32 sum overflows is fine: scan only rows whose
-        # sum is not finite, element by element.
-        bad = ~np.isfinite(sums)
-        if bad.any():
-            bad[bad] = ~np.isfinite(rows[bad]).all(axis=1)
-    if not bad.any():
+    if half := rows.shape[0] // 2:
+        validate_rows(rows[:half], probabilities, first_row)
+        validate_rows(rows[half:], probabilities, first_row + half)
         return
-    i = int(np.argmax(bad))
-    row, n = rows[i], first_row + i
-    if not np.isfinite(row).all():
-        raise NonFiniteScore(f"row {n} holds a non-finite score", n)
-    if deviation[i] > PROB_SUM_TOLERANCE:
-        raise RowSumViolation(f"row {n} sums to {sums[i]:.6f}, not 1", n)
-    raise ProbabilityOutOfRange(f"row {n} holds a probability outside [0, 1]", n)
+    if not (-math.inf < lo and hi < math.inf):
+        raise NonFiniteScore(f"row {first_row} holds a non-finite score", first_row)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge scores; inf - inf is NaN
+        total = np.add.reduce(rows, 1).item()
+    if total < _SUM_LO or total > _SUM_HI:  # a NaN sum (huge cells) is named out of range
+        raise RowSumViolation(f"row {first_row} sums to {total:.6f}, not 1", first_row)
+    raise ProbabilityOutOfRange(f"row {first_row} holds a probability outside [0, 1]", first_row)
 
 
 def first_frame_at_or_after(time_sec: float, unit_ms: float) -> int:
@@ -120,7 +120,7 @@ class PosteriorStream:
     presoftmax: bool = False
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float32)
+        frames = np.asarray(self.frames, dtype=np.float32, order="C")  # see validate_rows
         if frames.ndim != 2:
             raise ValueError(f"frames must be 2-D (steps, labels), got shape {frames.shape}")
         object.__setattr__(self, "frames", frames)

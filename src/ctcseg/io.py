@@ -43,18 +43,19 @@ _FLAG_PROBABILITIES = 0x01
 BLOCK_BYTES = 1 << 20
 
 
-def _copy_into(view: memoryview, data: bytes | None) -> int:
-    data = data or b""
-    view[:len(data)] = data
-    return len(data)
+def _into(read: Callable[[int], bytes | None]) -> Callable[[memoryview], int]:
+    """A readinto made of a read that returns bytes."""
+    def readinto(view: memoryview) -> int:
+        data = read(len(view)) or b""
+        view[:len(data)] = data
+        return len(data)
+    return readinto
 
 
 def _readinto(fileobj) -> Callable[[memoryview], int]:
     """One read into a buffer, returning what fileobj has ready (0 at end)."""
-    readinto = getattr(fileobj, "readinto1", None) or getattr(fileobj, "readinto", None)
-    if readinto is not None:
-        return readinto
-    return lambda view: _copy_into(view, fileobj.read(len(view)))
+    return (getattr(fileobj, "readinto1", None) or getattr(fileobj, "readinto", None)
+            or _into(fileobj.read))
 
 
 class PosteriorReader:
@@ -67,11 +68,14 @@ class PosteriorReader:
     """
 
     def __init__(self, fileobj: BinaryIO):
-        self._fileobj = fileobj
         self._readinto = _readinto(fileobj)
+        # On an empty buffer, a buffered reader's read1 makes one raw read of just the
+        # size asked; readinto1 would fill that buffer with row bytes, and blocks() would
+        # then wait on one more raw read before handing those rows on.
+        read = _into(fileobj.read1) if hasattr(fileobj, "read1") else self._readinto
         raw = memoryview(bytearray(HEADER_SIZE))
         got = 0
-        while got < HEADER_SIZE and (n := self._readinto(raw[got:])):
+        while got < HEADER_SIZE and (n := read(raw[got:])):
             got += n
         if got < HEADER_SIZE:
             raise TruncatedFile(f"header truncated at offset {got} of {HEADER_SIZE}")
@@ -110,12 +114,6 @@ class PosteriorReader:
         capacity = min(max(1, BLOCK_BYTES // row_bytes), self.num_frames) * row_bytes
         buf = np.empty(0, dtype=np.uint8)
         done = have = 0  # rows handed on; bytes of the row in progress
-        # The header read can leave bytes in a buffered reader's own buffer,
-        # and readinto1 would copy those and then wait on one more raw read;
-        # read1 returns only what that buffer holds, so it takes the first read.
-        read1 = getattr(self._fileobj, "read1", None)
-        read = self._readinto if read1 is None else (
-            lambda view: _copy_into(view, read1(len(view))))
         while done < self.num_frames:
             if have == buf.size:  # first read, or a long row filled it: new buffer and views
                 grown = np.empty(min(max(2 * buf.size, BLOCK_BYTES), capacity), dtype=np.uint8)
@@ -123,8 +121,7 @@ class PosteriorReader:
                 buf, mem = grown, memoryview(grown)
                 rows = buf[:buf.size - buf.size % row_bytes].view("<f4").reshape(-1, num_labels)
             end = min(buf.size, (self.num_frames - done) * row_bytes)
-            n = read(mem[have:end])
-            read = self._readinto
+            n = self._readinto(mem[have:end])
             if not n:
                 offset = HEADER_SIZE + done * row_bytes + have
                 raise TruncatedFile(f"stream ended in row {done + 1} of {self.num_frames} "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import PosteriorStream, ReferenceAnnotation, SegmenterConfig, check_layout, \
-    first_frame_at_or_after, last_frame_before
+    first_frame_at_or_after, last_frame_before, steps_in
 from .errors import InvalidConfig
 
 # Probability put on the winning label of each synthetic row; the rest is
@@ -44,8 +44,7 @@ def synthesize_posteriors(ref: ReferenceAnnotation, cfg: SegmenterConfig,
 
     r = cfg.subsample_factor
     step_ms = r * frame_shift_ms
-    total_frames = int(round(ref.total_duration_sec * 1000.0 / frame_shift_ms))
-    num_steps = total_frames // r
+    num_steps = steps_in(ref.total_duration_sec, frame_shift_ms, r)
     rng = np.random.default_rng(seed)
 
     spikes: dict[int, int] = {}

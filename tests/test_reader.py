@@ -99,6 +99,16 @@ def test_stream_and_reader_refuse_the_same_layouts(num_labels, blank_id, shift, 
         PosteriorReader(io.BytesIO(header))
 
 
+def test_the_header_read_leaves_no_row_bytes_in_the_file_buffer(tmp_path):
+    # Row bytes left in a buffered reader's own buffer would make the first block
+    # read wait on one more raw read (the live-pipe test below shows the effect).
+    path = tmp_path / "rows.ctcp"
+    path.write_bytes(ctcp(one_hot_rows([0, 1] * 2000, 4)))
+    with open(path, "rb") as f:
+        PosteriorReader(f)
+        assert f.raw.tell() == ctcseg.io.HEADER_SIZE
+
+
 class Trickle:
     """A source whose every read hands over 1-7 bytes, as a slow pipe might."""
 

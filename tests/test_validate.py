@@ -3,7 +3,9 @@
 The reference below is the row check as it stood before validate_rows took
 its fast path on a block's extremes. Blocks are drawn around the edges of
 that fast path: row sums within a few float32 ulps of 1 +- 1e-4, and 0,
--0.0, 1, the next float32 above 1, NaN and +-inf in any cell.
+-0.0, 1, the next float32 above 1, NaN and +-inf in any cell. Blocks of up
+to 64 rows with a bad row at every index check the halving that names a
+failing block's first bad row.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcseg.core import PROB_SUM_TOLERANCE, validate_rows
+from ctcseg.core import PROB_SUM_TOLERANCE, PosteriorStream, validate_rows
 from ctcseg.errors import FormatError, NonFiniteScore, ProbabilityOutOfRange, RowSumViolation
 
 
@@ -128,3 +130,76 @@ def test_the_last_sum_inside_the_tolerance_passes_and_the_next_fails(bound, outw
         bad = np.array([[head, outside - head]], dtype=np.float32)
         assert _outcome(check, good, True, 1) is None
         assert _outcome(check, bad, True, 1)[0] is RowSumViolation
+
+
+def _good_rows(rng, height, num_labels):
+    rows = rng.random((height, num_labels)) + 0.01
+    return (rows / rows.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+def _spoil(row, fault):
+    """Give one probability row one fault; "both" breaks its sum and its range at once."""
+    if fault in ("nan", "inf", "-inf"):
+        row[-1] = float(fault)
+    elif fault == "sum-off":
+        row[0] += np.float32(2e-4)
+    else:
+        row[:] = 0.0
+        row[:2] = [1.25, -0.25 + (2e-4 if fault == "both" else 0.0)]
+
+
+FAULTS = ["nan", "inf", "-inf", "sum-off", "out-of-range", "both"]
+
+
+@pytest.mark.parametrize("probabilities", [True, False])
+def test_halving_names_the_reference_row_at_every_depth(probabilities):
+    rng = np.random.default_rng(13)
+    for height in range(1, 65):  # odd sizes, and powers of two up to 64
+        num_labels = int(rng.integers(2, 9))
+        for index in range(height):
+            for fault in FAULTS:
+                rows = _good_rows(rng, height, num_labels)
+                _spoil(rows[index], fault)
+                if index + 1 < height and rng.random() < 0.5:  # a second bad row after it
+                    _spoil(rows[rng.integers(index + 1, height)], rng.choice(FAULTS))
+                first_row = int(rng.integers(1, 10**6))
+                expected = _outcome(reference_validate_rows, rows.copy(), probabilities,
+                                    first_row)
+                assert _outcome(validate_rows, rows, probabilities, first_row) == expected
+                if probabilities or fault in ("nan", "inf", "-inf"):
+                    assert expected is not None and expected[1] == first_row + index
+
+
+def test_a_nan_in_the_last_row_of_a_long_stream_is_named():
+    frames = np.full((90_000, 32), 1 / 32, dtype=np.float32)
+    frames[-1, 7] = np.nan
+    with pytest.raises(NonFiniteScore, match="^row 90000 holds a non-finite score$") as info:
+        PosteriorStream(frames=frames)
+    assert info.value.row == 90_000
+
+
+@pytest.mark.parametrize("probabilities", [True, False])
+def test_column_major_frames_are_checked_in_row_order(probabilities):
+    # Column-major rows sum in another order than row-major ones, so a sum near the
+    # tolerance could pass in one layout and fail in the other.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        rows = _good_rows(rng, 3, int(rng.integers(9, 40)))
+        rows[1] *= np.float32(rng.choice([1 - TOL, 1 + TOL]))
+        stream_outcome = _outcome(
+            lambda r, p, f: PosteriorStream(frames=np.asfortranarray(r), presoftmax=not p),
+            rows, probabilities, 1)
+        assert stream_outcome == _outcome(reference_validate_rows, rows, probabilities, 1)
+    good = np.asfortranarray(_good_rows(rng, 3, 9))
+    assert PosteriorStream(frames=good).frames.flags.c_contiguous
+
+
+@pytest.mark.parametrize("height", [1, 2, 5])
+def test_a_finite_row_with_a_nan_sum_gets_the_reference_outcome(height):
+    # Pairwise float32 summation meets +inf and -inf partial sums here: the sum is NaN.
+    rows = np.full((height, 16), 1 / 16, dtype=np.float32)
+    rows[-1, [0, 1, 2, 3, 8, 9, 10, 11]] = 3e38
+    rows[-1, [4, 5, 6, 7, 12, 13, 14, 15]] = -3e38
+    for probabilities in (True, False):
+        expected = _outcome(reference_validate_rows, rows.copy(), probabilities, 1)
+        assert _outcome(validate_rows, rows, probabilities, 1) == expected
