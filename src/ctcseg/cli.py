@@ -1,7 +1,7 @@
 """Command-line entry points: segment, simulate, eval, bench.
 
-Data goes to stdout, diagnostics to stderr; CTC_SEG_LOG sets the log
-level. Exit codes: 0 success, 1 input/format errors, 2 bad flags.
+Data goes to stdout, diagnostics to stderr when CTC_SEG_LOG is DEBUG,
+INFO or NOTSET. Exit codes: 0 success, 1 input/format errors, 2 bad flags.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -25,8 +24,6 @@ from .errors import CtcSegError
 from .io import (PosteriorReader, format_event, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
 from .segmenter import OnlineSegmenter, segment_posteriors, segments_from_events
-
-logger = logging.getLogger("ctcseg")
 
 # Named presets: v_threshold / onset / offset tuned per encoder setup.
 PROFILES = {
@@ -132,21 +129,25 @@ def _reader_cfg(args, reader: PosteriorReader) -> SegmenterConfig:
     return _resolve_cfg(args, blank_id, reader.subsample_factor)
 
 
-def _offline_segments(reader: PosteriorReader, cfg: SegmenterConfig) -> list[Segment]:
-    """Push each block's greedy labels, then rebuild and length-filter the segments."""
+def _info(message: str) -> None:
+    """One diagnostic line on stderr, when CTC_SEG_LOG is DEBUG, INFO or NOTSET."""
+    if os.environ.get("CTC_SEG_LOG", "").upper() in ("DEBUG", "INFO", "NOTSET"):
+        print(f"INFO ctcseg: {message}", file=sys.stderr)
+
+
+def _events(reader: PosteriorReader, cfg: SegmenterConfig):
+    """Push each block's greedy labels as it arrives; yield each push's events, then finish's."""
     segmenter = OnlineSegmenter(cfg, frame_shift_ms=reader.frame_shift_ms)
-    events = []
     for labels in reader.labels():
-        events += segmenter.push(labels.tolist())
-    events += segmenter.finish(reader.total_feature_frames)
+        yield segmenter.push(labels.tolist())
+    yield segmenter.finish(reader.total_feature_frames)
+
+
+def _offline_segments(reader: PosteriorReader, cfg: SegmenterConfig) -> list[Segment]:
+    """Rebuild and length-filter the segments from all of the stream's events."""
+    events = [event for block in _events(reader, cfg) for event in block]
     return segments_from_events(events, cfg, reader.total_feature_frames,
                                 apply_min_length=True)
-
-
-def _open_sink(args):
-    if args.output is None:
-        return sys.stdout, False
-    return open(args.output, "w", encoding="utf-8", newline="\n"), True
 
 
 def cmd_segment(args) -> int:
@@ -161,16 +162,19 @@ def cmd_segment(args) -> int:
             source = sys.stdin.buffer
         reader = PosteriorReader(source)
         cfg = _reader_cfg(args, reader)
-        sink, owned = _open_sink(args)
-        if owned:
-            stack.enter_context(sink)
+        sink = sys.stdout
+        if args.output is not None:
+            sink = stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
         try:
             if args.mode == "online":
-                _segment_online(reader, cfg, sink)
+                for events in _events(reader, cfg):  # each block's events as soon as they exist
+                    if events:
+                        sink.write("".join(format_event(ev, reader.frame_shift_ms) + "\n"
+                                           for ev in events))
+                        sink.flush()
             else:
                 segments = _offline_segments(reader, cfg)
-                logger.info("segmented %d steps into %d segments", reader.num_frames,
-                            len(segments))
+                _info(f"segmented {reader.num_frames} steps into {len(segments)} segments")
                 write_segments(segments, args.format, sink)
                 sink.flush()
         except BrokenPipeError:
@@ -178,20 +182,6 @@ def cmd_segment(args) -> int:
             # point the sink at devnull so the flush at exit cannot fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
     return 0
-
-
-def _segment_online(reader: PosteriorReader, cfg: SegmenterConfig, sink) -> None:
-    """Push each block as it arrives; write and flush the block's events at once."""
-    segmenter = OnlineSegmenter(cfg, frame_shift_ms=reader.frame_shift_ms)
-    for labels in reader.labels():
-        _write_events(segmenter.push(labels.tolist()), reader.frame_shift_ms, sink)
-    _write_events(segmenter.finish(reader.total_feature_frames), reader.frame_shift_ms, sink)
-
-
-def _write_events(events, frame_shift_ms: float, sink) -> None:
-    if events:
-        sink.write("".join(format_event(ev, frame_shift_ms) + "\n" for ev in events))
-        sink.flush()
 
 
 def cmd_simulate(args) -> int:
@@ -207,8 +197,7 @@ def cmd_simulate(args) -> int:
                                    spike_gap_max=args.spike_gap_max, seed=args.seed,
                                    frame_shift_ms=args.frame_shift_ms)
     write_posteriors(stream, args.output)
-    logger.info("wrote %d steps x %d labels to %s", stream.num_steps,
-                stream.num_labels, args.output)
+    _info(f"wrote {stream.num_steps} steps x {stream.num_labels} labels to {args.output}")
     return 0
 
 
@@ -261,7 +250,7 @@ def _synthetic_bench_stream(args):
 
     duration, frame_shift_ms = args.duration, 10.0
     cfg = SegmenterConfig(subsample_factor=args.subsample_factor, min_len_ratio=0.0)
-    steps_in(duration, frame_shift_ms, cfg.subsample_factor)  # bounds the loop below
+    steps_in(duration, frame_shift_ms, cfg.subsample_factor, args.num_labels)  # bounds the loop
     regions = []
     t = 0.5
     while t + 2.0 < duration:
@@ -328,20 +317,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _configure_logging() -> None:
-    level = os.environ.get("CTC_SEG_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s",
-                        force=True)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
-    _configure_logging()
     try:
         return args.func(args)
     except (CtcSegError, ValueError, OSError) as exc:

@@ -9,6 +9,7 @@ I/O layer converts to 0-based array offsets at the boundary.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,12 +46,22 @@ def check_layout(num_labels: int, blank_id: int, frame_shift_ms: float,
         raise InvalidConfig(f"frame_shift_ms must be a positive finite f32, got {frame_shift_ms}")
 
 
-def steps_in(duration_sec: float, frame_shift_ms: float, subsample_factor: int) -> int:
-    """Whole steps in duration_sec, raw frames rounded half to even; at most 2**32 - 1."""
+def steps_in(duration_sec: float, frame_shift_ms: float, subsample_factor: int,
+             num_labels: int) -> int:
+    """Whole steps in duration_sec, raw frames rounded half to even; at most 2**32 - 1,
+    and no more than physical memory holds as float32 rows of num_labels scores."""
     steps = round(duration_sec * 1000.0 / frame_shift_ms, 0) // subsample_factor
     if not steps < 2**32:  # the CTCP header's u32; as floats, so inf and NaN fail too
         raise InvalidConfig(f"{duration_sec} s at {frame_shift_ms} ms must be < 2**32 steps")
-    return int(steps)
+    steps = int(steps)
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # not POSIX: the u32 rule alone
+        memory = math.inf
+    if steps * num_labels * 4 > memory:  # in ints, which no label count overflows
+        raise InvalidConfig(f"{steps} steps x {num_labels} labels of float32 exceed "
+                            f"the {memory} bytes of physical memory")
+    return steps
 
 
 def validate_rows(rows: np.ndarray, probabilities: bool, first_row: int = 1) -> None:

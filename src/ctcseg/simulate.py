@@ -44,7 +44,7 @@ def synthesize_posteriors(ref: ReferenceAnnotation, cfg: SegmenterConfig,
 
     r = cfg.subsample_factor
     step_ms = r * frame_shift_ms
-    num_steps = steps_in(ref.total_duration_sec, frame_shift_ms, r)
+    num_steps = steps_in(ref.total_duration_sec, frame_shift_ms, r, num_labels)
     rng = np.random.default_rng(seed)
 
     spikes: dict[int, int] = {}

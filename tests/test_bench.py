@@ -46,12 +46,15 @@ def test_explicit_tuned_flags_match_the_defaults(tmp_path, capsys):
 def test_log_level_env_var_controls_stderr(tmp_path):
     ann = tmp_path / "ann.json"
     ann.write_text('{"duration_sec": 2.0, "regions": [[0.5, 1.5]]}')
+    out = tmp_path / "out.ctcp"
     argv = [sys.executable, "-m", "ctcseg", "simulate", "--annotation", str(ann),
-            "--output", str(tmp_path / "out.ctcp")]
-    quiet = subprocess.run(argv, capture_output=True, text=True, env={**os.environ})
-    assert quiet.returncode == 0
-    assert "INFO" not in quiet.stderr
-    loud = subprocess.run(argv, capture_output=True, text=True,
-                          env={**os.environ, "CTC_SEG_LOG": "INFO"})
-    assert loud.returncode == 0
-    assert "INFO ctcseg" in loud.stderr
+            "--output", str(out)]
+    info = f"INFO ctcseg: wrote 50 steps x 32 labels to {out}\n"
+    base = {k: v for k, v in os.environ.items() if k != "CTC_SEG_LOG"}
+    # DEBUG, INFO and NOTSET (any case) turn the line on; other values, unknown ones
+    # included, leave stderr empty
+    for level, stderr in ((None, ""), ("INFO", info), ("debug", info), ("NotSet", info),
+                          ("warning", ""), ("basic_format", "")):
+        env = base if level is None else {**base, "CTC_SEG_LOG": level}
+        done = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, stderr), level

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -228,19 +229,24 @@ class TestSegmentCommand:
         stream = stream_from_labels([1, 2, 0, 0] * 20_000, 3)
         path = tmp_path / "many.ctcp"
         write_posteriors(stream, path)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "ctcseg", "segment", "--input", str(path), "--mode", mode,
-             "-V", "2", "--onset-margin", "0", "--offset-margin", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        try:
-            assert proc.wait(timeout=60) == 0
-        finally:
-            proc.kill()
-        assert first.startswith(b"{")
-        assert proc.stderr.read() == b""
-        proc.stderr.close()
+        flags = ["--mode", mode, "-V", "2", "--onset-margin", "0", "--offset-margin", "0"]
+        # Buffered stdout, as from a shell: unbuffered (-u) text output drops the
+        # rest of a write the closed pipe cut short, and never sees EPIPE.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for source in (["--input", str(path)], ["--stream"]):  # `ctcseg ... | head -1`
+            with open(path, "rb") as stdin:
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "ctcseg", "segment", *source, *flags],
+                    stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            try:
+                assert proc.wait(timeout=60) == 0, source
+            finally:
+                proc.kill()
+            assert first.startswith(b"{")
+            assert proc.stderr.read() == b"", source
+            proc.stderr.close()
 
 
 def _ctcp_header(num_frames=0, num_labels=3, blank_id=0, frame_shift_ms=10.0,
@@ -470,6 +476,11 @@ COMPARE = [*EVAL, "--compare", "--wav", "{wav}"]
       for shift in ("0", "-10", "inf", "nan", "1e40", "1e-46", "1e-40")),
     *(pytest.param(["bench", "--duration", duration], {}, id=f"bench-duration-{duration}")
       for duration in ("inf", "1e12")),
+    # fewer than 2**32 steps, but the float32 rows would not fit in memory
+    pytest.param(["bench", "--duration", "171798691.8", "-r", "4"], {},
+                 id="bench-rows-exceed-memory"),
+    pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}",
+                  "--num-labels", "4000000000"], {}, id="simulate-rows-exceed-memory"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, write_annotation,
@@ -498,9 +509,11 @@ class TestBenchCommand:
         assert report["rtf_median"] >= 0.0
         assert report["frames_per_sec"] > 0
 
-    def test_e2e_needs_an_input_file(self, capsys):
-        code, _, _ = run_cli(["bench", "--rtf", "e2e", "--duration", "10"], capsys)
-        assert code == 2
+    def test_usage_errors_exit_two(self, capsys):
+        for argv in (["--rtf", "e2e", "--duration", "10"],  # e2e times a file: needs --input
+                     ["--repeat", "0"]):
+            code, out, _ = run_cli(["bench", *argv], capsys)
+            assert (code, out) == (2, ""), argv
 
     def test_e2e_with_file(self, tmp_path, capsys, write_annotation):
         ann = write_annotation([(0.5, 2.0)], 5.0)
@@ -524,6 +537,18 @@ class TestBenchCommand:
                          path)
         code, _, err = run_cli(["bench", "--input", str(path)], capsys)
         assert code == 1
+
+
+def test_main_leaves_the_caller_logging_alone(fig1_ctcp, capsys):
+    root = logging.getLogger()
+    level, handler = root.level, logging.StreamHandler(io.StringIO())
+    root.addHandler(handler)
+    try:
+        assert run_cli(["segment", "--input", str(fig1_ctcp)], capsys)[0] == 0
+        assert handler in root.handlers
+        assert root.level == level
+    finally:
+        root.removeHandler(handler)
 
 
 def test_module_invocation_smoke():

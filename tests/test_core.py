@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ctcseg import (EventKind, InvalidConfig, LabelStream, PosteriorStream,
                     ReferenceAnnotation, Segment, SegmentEvent, SegmenterConfig,
                     segment_offline, segments_from_events)
+from ctcseg.core import steps_in
 
 
 def _segments(labels, r, onset=0, offset=0, total=None):
@@ -188,3 +191,15 @@ class TestReferenceAnnotation:
     def test_frame_spans_clip_to_stream(self):
         ref = ReferenceAnnotation(speech_regions=((0.0, 3.0),), total_duration_sec=3.0)
         assert ref.region_frame_spans(10.0, 280) == [(1, 280)]
+
+
+def test_steps_in_refuses_rows_that_exceed_physical_memory(monkeypatch):
+    # 1,000 pages of 4 KiB: 1,000 steps of 1,024 float32 scores fill it exactly
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.get)
+    assert steps_in(10.0, 10.0, 1, 1024) == 1000
+    with pytest.raises(InvalidConfig, match="physical memory"):
+        steps_in(10.0, 10.0, 1, 1025)
+    monkeypatch.delattr(os, "sysconf")  # not POSIX: only the 2**32-step rule is left
+    assert steps_in(10.0, 10.0, 1, 2**40) == 1000
+    with pytest.raises(InvalidConfig, match="2\\*\\*32"):
+        steps_in(2**32 * 0.01, 10.0, 1, 1)

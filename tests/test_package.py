@@ -89,7 +89,8 @@ def test_segment_imports_only_what_it_needs(zero_pair):
         code = ctcseg.cli.main(["segment", "--input", {ctcp!r}])
         print(json.dumps({{"code": code,
                           "modules": sorted(m for m in sys.modules if m.startswith("ctcseg")),
-                          "stdlib": [m for m in ("statistics", "wave") if m in sys.modules]}}))
+                          "stdlib": [m for m in ("logging", "statistics", "wave")
+                                     if m in sys.modules]}}))
     """)
     assert out == {"code": 0, "stdlib": [],
                    "modules": ["ctcseg", "ctcseg.cli", "ctcseg.core", "ctcseg.errors",
