@@ -21,7 +21,7 @@ _EXPORTS = {
     "core": ("EventKind", "LabelStream", "PosteriorStream", "ReferenceAnnotation",
              "Segment", "SegmentEvent", "SegmenterConfig"),
     "energy": ("energy_vad",),
-    "errors": ("BadMagic", "CtcSegError", "EmptyAudio", "EmptyStream", "FormatError",
+    "errors": ("BadMagic", "CtcSegError", "EmptyAudio", "FormatError",
                "InvalidConfig", "InvalidState", "NonFiniteScore", "ProbabilityOutOfRange",
                "RowError", "RowSumViolation", "SinkError", "TruncatedFile",
                "VersionMismatch"),

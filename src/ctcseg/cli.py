@@ -213,8 +213,9 @@ def _check_coverage(what: str, seconds: float, reader: PosteriorReader) -> None:
 def cmd_eval(args) -> int:
     from .scoring import evaluate
 
-    if args.compare and args.wav is None:
-        print("error: --compare requires --wav", file=sys.stderr)
+    if args.compare != (args.wav is not None):
+        given, missing = ("--compare", "--wav") if args.compare else ("--wav", "--compare")
+        print(f"error: {given} requires {missing}", file=sys.stderr)
         return 2
     with open(args.input, "rb") as source:
         reader = PosteriorReader(source)

@@ -275,8 +275,8 @@ class SegmentEvent:
         if self.kind is EventKind.OPEN:
             if self.segment is not None:
                 raise ValueError("open events carry no segment payload")
-        elif self.segment is None:
-            raise ValueError(f"{self.kind.value} events must carry a segment")
+        elif self.segment is None or self.transcript_len is None:
+            raise ValueError(f"{self.kind.value} events must carry a segment and transcript_len")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,6 @@ class CtcSegError(Exception):
     """Base class for all ctcseg errors."""
 
 
-class EmptyStream(CtcSegError):
-    """A posterior stream with zero frames was given where frames are required."""
-
-
 class EmptyAudio(CtcSegError):
     """An audio buffer with zero samples was given."""
 

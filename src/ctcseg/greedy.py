@@ -7,7 +7,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import LabelStream, PosteriorStream
-from .errors import EmptyStream
 
 
 def greedy_decode(stream: PosteriorStream) -> LabelStream:
@@ -15,10 +14,8 @@ def greedy_decode(stream: PosteriorStream) -> LabelStream:
 
     Works identically on probabilities and pre-softmax scores (argmax is
     invariant under any strictly monotone transform). Ties break to the
-    lowest label ID.
+    lowest label ID. A zero-row stream gives zero labels.
     """
-    if stream.num_steps == 0:
-        raise EmptyStream("cannot decode a stream with zero frames")
     labels = np.argmax(stream.frames, axis=1)
     return LabelStream(labels=labels, blank_id=stream.blank_id)
 
@@ -28,21 +25,13 @@ def greedy_label(scores: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-def ctc_collapse(labels: LabelStream | Sequence[int], blank_id: int | None = None) -> list[int]:
+def ctc_collapse(labels: Sequence[int], blank_id: int) -> list[int]:
     """Merge consecutive duplicate labels, then drop blanks."""
-    if isinstance(labels, LabelStream):
-        ids = labels.labels
-        blank = labels.blank_id
-    else:
-        ids = labels
-        if blank_id is None:
-            raise ValueError("blank_id is required when collapsing a plain sequence")
-        blank = blank_id
     out: list[int] = []
     prev: int | None = None
-    for lab in ids:
+    for lab in labels:
         lab = int(lab)
-        if lab != prev and lab != blank:
+        if lab != prev and lab != blank_id:
             out.append(lab)
         prev = lab
     return out

@@ -153,9 +153,6 @@ class PosteriorReader:
         for block in self.blocks():
             yield from block.copy()
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return self.rows()
-
     def to_stream(self) -> PosteriorStream:
         """Drain all rows into a PosteriorStream."""
         frames = np.concatenate([np.empty((0, self.num_labels), dtype=np.float32),

@@ -208,10 +208,6 @@ def segments_from_events(events: list[SegmentEvent], cfg: SegmenterConfig,
         if seg is None:  # an open event
             continue
         n = ev.transcript_len
-        if n is None:
-            if apply_min_length:
-                raise ValueError("events lack transcript_len; cannot apply the length filter")
-            n = 0
         t_end = min(seg.t_end, total_feature_frames)
         if spans and seg.t_start <= spans[-1][2]:
             last = spans[-1]
@@ -240,8 +236,6 @@ def segment_posteriors(stream: PosteriorStream, cfg: SegmenterConfig) -> list[Se
             f"config subsample_factor {cfg.subsample_factor} != "
             f"stream subsample_factor {stream.subsample_factor}"
         )
-    if stream.num_steps == 0:
-        return []
     labels = greedy_decode(stream)
     segments = segment_offline(labels, cfg, stream.total_feature_frames,
                                frame_shift_ms=stream.frame_shift_ms)

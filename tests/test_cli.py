@@ -5,12 +5,14 @@ import os
 import struct
 import subprocess
 import sys
+import wave
 
 import numpy as np
 import pytest
 
-from ctcseg import (EventKind, PosteriorStream, Segment, SegmentEvent,
-                    SegmenterConfig, segments_from_events, write_posteriors)
+from ctcseg import (EventKind, LabelStream, PosteriorStream, Segment, SegmentEvent,
+                    SegmenterConfig, greedy_decode, read_posterior_file, segment_posteriors,
+                    segments_from_events, write_posteriors)
 from ctcseg.cli import PROFILES, build_parser, main, _resolve_cfg
 
 from conftest import FIG1_LABELS, FIG1_NUM_LABELS, stream_from_labels
@@ -81,6 +83,15 @@ class TestSegmentCommand:
         code, out, err = run_cli(["segment", "--input", str(empty_ctcp)], capsys)
         assert code == 0
         assert out == ""
+
+    def test_library_accepts_the_zero_row_stream_the_cli_does(self, empty_ctcp, capsys):
+        stream = read_posterior_file(empty_ctcp)
+        labels = greedy_decode(stream)
+        assert isinstance(labels, LabelStream) and labels.labels.tolist() == []
+        cfg = SegmenterConfig(subsample_factor=stream.subsample_factor,
+                              blank_id=stream.blank_id)
+        assert segment_posteriors(stream, cfg) == []
+        assert run_cli(["segment", "--input", str(empty_ctcp)], capsys)[:2] == (0, "")
 
     def test_stdin_stream_offline(self, fig1_ctcp, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", FakeStdin(fig1_ctcp.read_bytes()))
@@ -431,6 +442,13 @@ class TestEvalCommand:
                               "--compare"], capsys)
         assert code == 2
 
+    def test_wav_without_compare_is_usage_error_before_reading_input(self, tmp_path, capsys):
+        code, out, err = run_cli(["eval", "--input", str(tmp_path / "nonexistent.ctcp"),
+                                  "--ref", str(tmp_path / "a.json"),
+                                  "--wav", str(tmp_path / "x.wav")], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --wav requires --compare\n"
+
     def test_compare_without_wav_fails_before_reading_input(self, tmp_path, capsys):
         code, out, err = run_cli(["eval", "--input", str(tmp_path / "nonexistent.ctcp"),
                                   "--ref", str(tmp_path / "a.json"), "--compare"], capsys)
@@ -446,6 +464,17 @@ def _wav_at_rate_zero():
     return (b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(data)) + data)
+
+
+def _wav_8_bit():
+    """A valid 8-bit mono WAV; eval --compare reads only 16-bit PCM."""
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(1)
+        w.setframerate(16000)
+        w.writeframes(bytes([128]) * 32000)
+    return buf.getvalue()
 
 
 SEGMENT = ["segment", "--input", "{ctcp}"]
@@ -471,6 +500,7 @@ COMPARE = [*EVAL, "--compare", "--wav", "{wav}"]
     pytest.param(COMPARE, {"wav": b"not a wav file"}, id="wav-not-riff"),
     pytest.param(COMPARE, {"wav": b"RIFF"}, id="wav-bare-riff"),
     pytest.param(COMPARE, {"wav": _wav_at_rate_zero()}, id="wav-rate-zero"),
+    pytest.param(COMPARE, {"wav": _wav_8_bit()}, id="wav-8-bit"),
     *(pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}",
                     f"--frame-shift={shift}"], {}, id=f"simulate-frame-shift-{shift}")
       for shift in ("0", "-10", "inf", "nan", "1e40", "1e-46", "1e-40")),

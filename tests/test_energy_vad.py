@@ -55,6 +55,10 @@ def test_empty_audio_raises():
         energy_vad(np.array([]), SR, FRAME_MS, threshold=0.01)
 
 
+def test_audio_shorter_than_one_frame_yields_nothing():
+    assert energy_vad(np.full(FRAME_LEN - 1, 0.5), SR, FRAME_MS, threshold=0.01) == []
+
+
 def test_int16_input_normalized():
     x = (_signal(100, [(40, 49)]) * 32767).astype(np.int16)
     segs = energy_vad(x, SR, FRAME_MS, threshold=0.01, hangover_frames=2)

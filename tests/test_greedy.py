@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctcseg import EmptyStream, LabelStream, PosteriorStream, ctc_collapse, \
-    greedy_decode, greedy_label
+from ctcseg import LabelStream, PosteriorStream, ctc_collapse, greedy_decode, greedy_label
 
 from conftest import stream_from_labels
 
@@ -27,10 +26,11 @@ class TestGreedyDecode:
         out = greedy_decode(_stream([[0.5, 0.5, 0.0]]))
         assert out.labels.tolist() == [0]
 
-    def test_empty_stream_raises(self):
-        empty = PosteriorStream(frames=np.empty((0, 3), dtype=np.float32))
-        with pytest.raises(EmptyStream):
-            greedy_decode(empty)
+    def test_empty_stream_gives_empty_labels(self):
+        empty = PosteriorStream(frames=np.empty((0, 3), dtype=np.float32), blank_id=2)
+        out = greedy_decode(empty)
+        assert isinstance(out, LabelStream)
+        assert (out.num_steps, out.labels.tolist(), out.blank_id) == (0, [], 2)
 
     def test_length_matches_input(self):
         stream = stream_from_labels([0, 1, 2, 1, 0], 3)
@@ -87,11 +87,11 @@ class TestCtcCollapse:
     def test_empty(self):
         assert ctc_collapse([], blank_id=BLANK) == []
 
-    def test_label_stream_input_uses_its_blank(self):
-        assert ctc_collapse(LabelStream([1, 1, 0, 2], blank_id=0)) == [1, 2]
+    def test_positional_blank_id(self):
+        assert ctc_collapse([1, 1, 0, 2], 0) == [1, 2]
 
     def test_plain_sequence_needs_blank_id(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ctc_collapse([1, 2, 3])
 
     @given(st.lists(st.integers(0, 4), max_size=60))

@@ -152,13 +152,13 @@ class TestStreaming:
     def test_rows_arrive_incrementally(self):
         data = pack_header(num_frames=3) + pack_rows([[0.5, 0.5], [0.4, 0.6], [1.0, 0.0]])
         reader = PosteriorReader(_ChunkyPipe(data))
-        rows = list(reader)
+        rows = list(reader.rows())
         assert len(rows) == 3
         assert rows[2].tolist() == [1.0, 0.0]
 
     def test_header_only_finishes_cleanly(self):
         reader = PosteriorReader(io.BytesIO(pack_header(num_frames=0)))
-        assert list(reader) == []
+        assert list(reader.rows()) == []
         assert reader.to_stream().num_steps == 0
 
     def test_midstream_error_after_yielding_prior_rows(self):
@@ -182,7 +182,7 @@ class TestStreaming:
     def test_trailing_bytes_after_declared_rows_are_left_alone(self):
         data = pack_header(num_frames=1) + pack_rows([[0.5, 0.5]]) + b"EXTRA"
         buf = io.BytesIO(data)
-        assert len(list(PosteriorReader(buf))) == 1
+        assert len(list(PosteriorReader(buf).rows())) == 1
         assert buf.read() == b"EXTRA"
 
     def test_streamed_bytes_match_whole_file_segmentation(self, tmp_path):
@@ -195,7 +195,7 @@ class TestStreaming:
             reader = PosteriorReader(_ChunkyPipe(f.read(), chunk=5))
             online = OnlineSegmenter(cfg, frame_shift_ms=reader.frame_shift_ms)
             events = []
-            for row in reader:
+            for row in reader.rows():
                 events += online.step(greedy_label(row))
             total = reader.num_frames * reader.subsample_factor
             events += online.finish(total)

@@ -131,3 +131,25 @@ def test_library_leaves_the_environment_alone():
                           "set": "OPENBLAS_NUM_THREADS" in os.environ}))
     """)
     assert out == {"segments": 1, "set": False}
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_suite(tmp_path):
+    # Reporting a failing example imports libcst -> mypy_extensions, which warns
+    # DeprecationWarning; the suite's warning filters must not turn that into an error.
+    (tmp_path / "test_demo.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 0
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject), "-q",
+                           "-p", "no:cacheprovider", str(tmp_path / "test_demo.py")],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr

@@ -45,6 +45,16 @@ class TestSynthesize:
         assert (labels.labels == 0).all()
         assert (stream.frames[:, 0] >= 0.9).all()
 
+    def test_region_wholly_in_the_ragged_tail_writes_no_spike(self):
+        # 2.01 s at r=4, 10 ms: 201 frames, 50 whole steps ending at 2.00 s
+        ref = ReferenceAnnotation(((2.001, 2.01),), 2.01, label_alphabet_size=8)
+        stream = synthesize_posteriors(ref, _cfg(), seed=1)
+        assert stream.num_steps == 50
+        bare = synthesize_posteriors(ReferenceAnnotation((), 2.01, label_alphabet_size=8),
+                                     _cfg(), seed=1)
+        assert np.array_equal(stream.frames, bare.frames)
+        assert (greedy_decode(stream).labels == 0).all()
+
     def test_full_stream_region_keeps_gaps_below_threshold(self):
         ref = ReferenceAnnotation(((0.0, 4.0),), 4.0, label_alphabet_size=8)
         cfg = _cfg(v=16)
