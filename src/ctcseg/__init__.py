@@ -25,7 +25,7 @@ _EXPORTS = {
                "InvalidConfig", "InvalidState", "NonFiniteScore", "ProbabilityOutOfRange",
                "RowError", "RowSumViolation", "SinkError", "TruncatedFile",
                "VersionMismatch"),
-    "greedy": ("ctc_collapse", "greedy_decode", "greedy_label"),
+    "greedy": ("greedy_decode", "greedy_label"),
     "io": ("PosteriorReader", "read_annotation", "read_posterior_file", "read_wav_mono",
            "write_posteriors", "write_segments"),
     "scoring": ("EvalReport", "evaluate", "measure_rtf"),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -20,10 +21,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # Only what `segment` needs is loaded here; each other command imports its
 # own modules when it runs.
 from .core import ReferenceAnnotation, Segment, SegmenterConfig, check_layout, steps_in
-from .errors import CtcSegError
+from .errors import CtcSegError, SinkError
 from .io import (PosteriorReader, format_event, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
-from .segmenter import OnlineSegmenter, segment_posteriors, segments_from_events
+from .segmenter import (OnlineSegmenter, filter_short_segments, segment_posteriors,
+                        segments_from_events)
 
 # Named presets: v_threshold / onset / offset tuned per encoder setup.
 PROFILES = {
@@ -146,8 +148,8 @@ def _events(reader: PosteriorReader, cfg: SegmenterConfig):
 def _offline_segments(reader: PosteriorReader, cfg: SegmenterConfig) -> list[Segment]:
     """Rebuild and length-filter the segments from all of the stream's events."""
     events = [event for block in _events(reader, cfg) for event in block]
-    return segments_from_events(events, cfg, reader.total_feature_frames,
-                                apply_min_length=True)
+    return filter_short_segments(segments_from_events(events, cfg, reader.total_feature_frames),
+                                 cfg)
 
 
 def cmd_segment(args) -> int:
@@ -177,10 +179,12 @@ def cmd_segment(args) -> int:
                 _info(f"segmented {reader.num_frames} steps into {len(segments)} segments")
                 write_segments(segments, args.format, sink)
                 sink.flush()
-        except BrokenPipeError:
-            # The reader of our output has gone (`| head`): stop quietly, and
-            # point the sink at devnull so the flush at exit cannot fail again.
+        except (OSError, SinkError) as exc:
+            # The sink takes no more output: point it at devnull so the flush at exit
+            # cannot fail again. A reader that has gone (`| head`) is not an error.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                raise
     return 0
 
 
@@ -337,6 +341,10 @@ def entrypoint() -> None:
     with contextlib.suppress(AttributeError, OSError):  # not Linux, or not permitted
         if os.sched_getscheduler(0) == os.SCHED_OTHER:  # leave real-time and idle policies
             os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    # Under PYTHONUNBUFFERED, text stdout writes to a raw file and drops the rest of a
+    # short write; a buffered layer retries it or raises.
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, closefd=False)
     sys.exit(main())
 
 

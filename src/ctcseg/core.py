@@ -218,7 +218,8 @@ class Segment:
     subsampled steps; t_start/t_end are the margin-expanded feature-frame
     span (1-based, inclusive). Online close events may carry a t_end past
     the frames seen so far; it is clipped to the stream length once that
-    is known.
+    is known. transcript_len is the length of the collapsed greedy
+    transcript of the anchor span, which the min-length filter reads.
     """
 
     index: int
@@ -227,6 +228,7 @@ class Segment:
     t_start: int
     t_end: int
     frame_shift_ms: float = 10.0
+    transcript_len: int = 0
 
     def __post_init__(self):
         if self.k_first_nonblank < 1 or self.k_last_nonblank < self.k_first_nonblank:
@@ -261,7 +263,7 @@ class SegmentEvent:
 
     Open events carry only the retroactive t_start (consumers keep a ring
     buffer of onset_margin * r feature frames); Close and Flush carry the
-    full segment plus the collapsed-transcript length seen so far.
+    full segment.
     """
 
     kind: EventKind
@@ -269,14 +271,13 @@ class SegmentEvent:
     index: int
     t_start: int
     segment: Segment | None = None
-    transcript_len: int | None = None
 
     def __post_init__(self):
         if self.kind is EventKind.OPEN:
             if self.segment is not None:
                 raise ValueError("open events carry no segment payload")
-        elif self.segment is None or self.transcript_len is None:
-            raise ValueError(f"{self.kind.value} events must carry a segment and transcript_len")
+        elif self.segment is None:
+            raise ValueError(f"{self.kind.value} events must carry a segment")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,6 @@
-"""Greedy frame-synchronous label prediction and CTC collapse."""
+"""Greedy frame-synchronous label prediction."""
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +22,3 @@ def greedy_label(scores: np.ndarray) -> int:
     """Argmax of a single score vector; the incremental unit of greedy_decode."""
     return int(np.argmax(scores))
 
-
-def ctc_collapse(labels: Sequence[int], blank_id: int) -> list[int]:
-    """Merge consecutive duplicate labels, then drop blanks."""
-    out: list[int] = []
-    prev: int | None = None
-    for lab in labels:
-        lab = int(lab)
-        if lab != prev and lab != blank_id:
-            out.append(lab)
-        prev = lab
-    return out

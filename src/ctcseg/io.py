@@ -202,7 +202,7 @@ def format_event(event: SegmentEvent, frame_shift_ms: float) -> str:
         return (head + f'"k_first": {event.emitted_at_step}, "t_start": {event.t_start}, '
                 f'"start_sec": {start_sec:.6f}}}')
     return (head + f'"k_first": {seg.k_first_nonblank}, "k_last": {seg.k_last_nonblank}, '
-            f'{_span_fields(seg)}, "transcript_len": {event.transcript_len}}}')
+            f'{_span_fields(seg)}, "transcript_len": {seg.transcript_len}}}')
 
 
 def _segment_lines(segments: list[Segment], fmt: str) -> list[str]:

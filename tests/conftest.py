@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import wave
@@ -35,6 +36,13 @@ def stream_from_labels(labels, num_labels, blank_id=0, frame_shift_ms=10.0,
         subsample_factor=subsample_factor,
         blank_id=blank_id,
     )
+
+
+class FakeStdin:
+    """Stands in for sys.stdin: the CLI reads CTCP bytes from sys.stdin.buffer."""
+
+    def __init__(self, data: bytes):
+        self.buffer = io.BytesIO(data)
 
 
 @pytest.fixture

@@ -11,6 +11,18 @@ independent.
 from itertools import groupby
 
 
+def ctc_collapse(labels, blank_id):
+    """Merge consecutive duplicate labels, then drop blanks."""
+    out = []
+    prev = None
+    for lab in labels:
+        lab = int(lab)
+        if lab != prev and lab != blank_id:
+            out.append(lab)
+        prev = lab
+    return out
+
+
 def label_runs(labels, blank_id):
     """Maximal runs as (is_blank, start_k, end_k) with 1-based inclusive steps."""
     runs = []

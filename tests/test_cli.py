@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import logging
 import os
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 from ctcseg import (EventKind, LabelStream, PosteriorStream, Segment, SegmentEvent,
-                    SegmenterConfig, greedy_decode, read_posterior_file, segment_posteriors,
-                    segments_from_events, write_posteriors)
+                    SegmenterConfig, filter_short_segments, greedy_decode, read_posterior_file,
+                    segment_posteriors, segments_from_events, write_posteriors)
 from ctcseg.cli import PROFILES, build_parser, main, _resolve_cfg
 
-from conftest import FIG1_LABELS, FIG1_NUM_LABELS, stream_from_labels
+from conftest import FIG1_LABELS, FIG1_NUM_LABELS, FakeStdin, stream_from_labels
 
 
 def run_cli(argv, capsys):
@@ -37,11 +38,6 @@ def empty_ctcp(tmp_path):
     path = tmp_path / "empty.ctcp"
     write_posteriors(PosteriorStream(frames=np.empty((0, 3), dtype=np.float32)), path)
     return path
-
-
-class FakeStdin:
-    def __init__(self, data: bytes):
-        self.buffer = io.BytesIO(data)
 
 
 FIG1_FLAGS = ["-V", "4", "--onset-margin", "1", "--offset-margin", "2"]
@@ -137,8 +133,8 @@ class TestSegmentCommand:
         assert code == 0
         cfg = SegmenterConfig(v_threshold=4, onset_margin=1, offset_margin=2,
                               subsample_factor=2, blank_id=0, min_len_ratio=0.1)
-        rebuilt = segments_from_events(_parse_events(online_out), cfg, 28,
-                                       apply_min_length=True)
+        rebuilt = filter_short_segments(
+            segments_from_events(_parse_events(online_out), cfg, 28), cfg)
         offline = [json.loads(line) for line in offline_out.splitlines()]
         assert [(s.index, s.t_start, s.t_end) for s in rebuilt] == \
             [(d["index"], d["t_start"], d["t_end"]) for d in offline]
@@ -159,8 +155,8 @@ class TestSegmentCommand:
         assert code == 0
         cfg = SegmenterConfig(subsample_factor=4, blank_id=0)  # csj defaults
         total = 200 * 4
-        rebuilt = segments_from_events(_parse_events(online_out), cfg, total,
-                                       apply_min_length=True)
+        rebuilt = filter_short_segments(
+            segments_from_events(_parse_events(online_out), cfg, total), cfg)
         offline = [json.loads(line) for line in offline_out.splitlines()]
         assert [(s.index, s.t_start, s.t_end) for s in rebuilt] == \
             [(d["index"], d["t_start"], d["t_end"]) for d in offline]
@@ -241,10 +237,10 @@ class TestSegmentCommand:
         path = tmp_path / "many.ctcp"
         write_posteriors(stream, path)
         flags = ["--mode", mode, "-V", "2", "--onset-margin", "0", "--offset-margin", "0"]
-        # Buffered stdout, as from a shell: unbuffered (-u) text output drops the
-        # rest of a write the closed pipe cut short, and never sees EPIPE.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        for source in (["--input", str(path)], ["--stream"]):  # `ctcseg ... | head -1`
+        for unbuffered, source in itertools.product(
+                ("", "1"), (["--input", str(path)], ["--stream"])):  # `ctcseg ... | head -1`
+            env["PYTHONUNBUFFERED"] = unbuffered  # "" leaves stdout buffered
             with open(path, "rb") as stdin:
                 proc = subprocess.Popen(
                     [sys.executable, "-m", "ctcseg", "segment", *source, *flags],
@@ -252,12 +248,41 @@ class TestSegmentCommand:
             first = proc.stdout.readline()
             proc.stdout.close()
             try:
-                assert proc.wait(timeout=60) == 0, source
+                assert proc.wait(timeout=60) == 0, (unbuffered, source)
             finally:
                 proc.kill()
             assert first.startswith(b"{")
-            assert proc.stderr.read() == b"", source
+            assert proc.stderr.read() == b"", (unbuffered, source)
             proc.stderr.close()
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    def test_full_non_blocking_stdout_is_an_error(self, tmp_path, mode, unbuffered):
+        # 2,000 segments: more output than a pipe holds, and nothing reads it
+        # until the command exits, so a write is cut short and then refused.
+        stream = stream_from_labels([1, 2, 0, 0] * 2_000, 3)
+        path = tmp_path / "many.ctcp"
+        write_posteriors(stream, path)
+        argv = [sys.executable, "-m", "ctcseg", "segment", "--input", str(path),
+                "--mode", mode, "-V", "2", "--onset-margin", "0", "--offset-margin", "0"]
+        expected = subprocess.run(argv, capture_output=True, check=True).stdout
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        with os.fdopen(read_end, "rb") as reader:
+            try:
+                proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                      timeout=60)
+            finally:
+                os.close(write_end)
+            delivered = reader.read()
+        assert len(delivered) < len(expected)  # the pipe cannot take it all
+        assert expected.startswith(delivered)
+        assert proc.returncode == 1
+        err = proc.stderr.decode()
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def _ctcp_header(num_frames=0, num_labels=3, blank_id=0, frame_shift_ms=10.0,
@@ -282,11 +307,10 @@ def _parse_events(out):
         else:
             seg = Segment(index=d["index"], k_first_nonblank=d["k_first"],
                           k_last_nonblank=d["k_last"], t_start=d["t_start"],
-                          t_end=d["t_end"])
+                          t_end=d["t_end"], transcript_len=d["transcript_len"])
             events.append(SegmentEvent(kind=EventKind(d["event"]),
                                        emitted_at_step=d["step"], index=d["index"],
-                                       t_start=d["t_start"], segment=seg,
-                                       transcript_len=d["transcript_len"]))
+                                       t_start=d["t_start"], segment=seg))
     return events
 
 
@@ -434,6 +458,17 @@ class TestEvalCommand:
         assert set(report) == {"ctc_blank_run", "energy_vad"}
         assert report["ctc_blank_run"]["frame_f1"] == 1.0
         assert report["energy_vad"]["frame_f1"] > 0.9
+
+    @pytest.mark.parametrize("frames, kept", [(200, 1), (201, 0)])
+    def test_compare_keeps_an_energy_segment_that_starts_on_the_last_frame(
+            self, tmp_path, capsys, write_annotation, write_wav, frames, kept):
+        ctcp, ann = _aligned_eval_pair(tmp_path, write_annotation)  # 200 frames of 10 ms
+        audio = np.zeros(frames * 160)
+        audio[-160:] = 0.5  # only the WAV's last frame is loud
+        code, out, err = run_cli(["eval", "--input", str(ctcp), "--ref", str(ann),
+                                  "--compare", "--wav", str(write_wav(audio))], capsys)
+        assert code == 0, err
+        assert json.loads(out)["energy_vad"]["n_hyp_segments"] == kept
 
     def test_compare_without_wav_is_usage_error(self, tmp_path, capsys,
                                                 write_annotation):

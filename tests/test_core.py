@@ -60,7 +60,7 @@ class TestClip:
         assert all(1 <= s.t_start <= s.t_end <= total for s in segs)
         # clipping the clipped segments again changes nothing
         events = [SegmentEvent(kind=EventKind.CLOSE, emitted_at_step=s.k_last_nonblank,
-                               index=s.index, t_start=s.t_start, segment=s, transcript_len=1)
+                               index=s.index, t_start=s.t_start, segment=s)
                   for s in segs]
         assert segments_from_events(events, cfg, total) == segs
 
@@ -166,17 +166,9 @@ class TestSegmentEvent:
                          t_start=1, segment=seg)
 
     def test_close_requires_segment(self):
-        with pytest.raises(ValueError):
-            SegmentEvent(kind=EventKind.CLOSE, emitted_at_step=5, index=1, t_start=1,
-                         transcript_len=1)
-
-    @pytest.mark.parametrize("kind", [EventKind.CLOSE, EventKind.FLUSH])
-    def test_close_and_flush_require_transcript_len(self, kind):
-        seg = Segment(index=1, k_first_nonblank=1, k_last_nonblank=1, t_start=1, t_end=2)
-        with pytest.raises(ValueError, match="transcript_len"):
-            SegmentEvent(kind=kind, emitted_at_step=5, index=1, t_start=1, segment=seg)
-        SegmentEvent(kind=kind, emitted_at_step=5, index=1, t_start=1, segment=seg,
-                     transcript_len=1)
+        for kind in (EventKind.CLOSE, EventKind.FLUSH):
+            with pytest.raises(ValueError, match="must carry a segment"):
+                SegmentEvent(kind=kind, emitted_at_step=5, index=1, t_start=1)
 
 
 class TestReferenceAnnotation:

@@ -19,7 +19,7 @@ import pytest
 from ctcseg import write_posteriors
 from ctcseg.cli import main
 
-from conftest import stream_from_labels
+from conftest import FakeStdin, stream_from_labels
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -55,16 +55,11 @@ def _write_inputs(directory: Path) -> dict:
     return paths
 
 
-class _Stdin:
-    def __init__(self, data: bytes):
-        self.buffer = io.BytesIO(data)
-
-
 def _run(argv, stdin_stream, paths, capture):
     """(exit code, stdout, stderr) of one in-process run; capture() returns (out, err)."""
     saved = sys.stdin
     if stdin_stream:
-        sys.stdin = _Stdin(paths["ctcp"].read_bytes())
+        sys.stdin = FakeStdin(paths["ctcp"].read_bytes())
     try:
         code = main([arg.format(**paths) for arg in argv])
     finally:
@@ -108,23 +103,19 @@ def test_golden_stream_has_every_feature():
 
 
 if __name__ == "__main__":
+    import contextlib
     import tempfile
 
-    class _Capture:
-        def __enter__(self):
-            self.saved = sys.stdout, sys.stderr
-            sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-            return self
+    def capture():
+        """Return and clear what one run wrote to the redirected stdout and stderr."""
+        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
+        for stream in (sys.stdout, sys.stderr):
+            stream.seek(0)
+            stream.truncate()
+        return out, err
 
-        def __call__(self):
-            out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-            sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-            return out, err
-
-        def __exit__(self, *exc):
-            sys.stdout, sys.stderr = self.saved
-
-    with tempfile.TemporaryDirectory() as tmp, _Capture() as capture:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         paths = _write_inputs(Path(tmp))
         golden = {case: _run(argv, stdin_stream, paths, capture)
                   for case, (argv, stdin_stream) in sorted(_cases().items())}

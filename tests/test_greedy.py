@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctcseg import LabelStream, PosteriorStream, ctc_collapse, greedy_decode, greedy_label
+from ctcseg import LabelStream, PosteriorStream, greedy_decode, greedy_label
 
 from conftest import stream_from_labels
+from oracle import ctc_collapse
 
 
 def _stream(rows, presoftmax=False):

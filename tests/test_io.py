@@ -7,7 +7,7 @@ import pytest
 
 from ctcseg import (BadMagic, FormatError, PosteriorReader, PosteriorStream,
                     RowSumViolation, SegmenterConfig, SinkError, TruncatedFile,
-                    VersionMismatch, greedy_label, read_annotation,
+                    VersionMismatch, filter_short_segments, greedy_label, read_annotation,
                     read_posterior_file, read_wav_mono, OnlineSegmenter, Segment,
                     segment_posteriors, segments_from_events, write_posteriors,
                     write_segments)
@@ -199,7 +199,7 @@ class TestStreaming:
                 events += online.step(greedy_label(row))
             total = reader.num_frames * reader.subsample_factor
             events += online.finish(total)
-        rebuilt = segments_from_events(events, cfg, total, apply_min_length=True)
+        rebuilt = filter_short_segments(segments_from_events(events, cfg, total), cfg)
         assert rebuilt == segment_posteriors(read_posterior_file(path), cfg)
 
 

@@ -11,7 +11,7 @@ from ctcseg import (EventKind, InvalidConfig, InvalidState, LabelStream, OnlineS
                     segments_from_events)
 
 from conftest import FIG1_LABELS, FIG1_NUM_LABELS, stream_from_labels
-from oracle import oracle_anchor_spans, oracle_segments, random_stream_case
+from oracle import ctc_collapse, oracle_anchor_spans, oracle_segments, random_stream_case
 
 FIG1_CFG = SegmenterConfig(v_threshold=4, onset_margin=1, offset_margin=2,
                            subsample_factor=2, blank_id=0, min_len_ratio=0.0)
@@ -104,7 +104,7 @@ class TestMinLengthFilter:
         segs = segment_offline(labels, FIG1_CFG, 28)
         # transcript lengths 2 and 1 over encoded lengths 7 and 4
         cfg = dataclasses.replace(FIG1_CFG, min_len_ratio=0.26)
-        kept = filter_short_segments(segs, labels, cfg)
+        kept = filter_short_segments(segs, cfg)
         assert [(s.index, s.t_start, s.t_end) for s in kept] == [(1, 4, 16)]
 
     def test_encoded_length_is_ceil_of_span(self):
@@ -121,10 +121,10 @@ class TestOnlineSegmenter:
                          (EventKind.OPEN, 12), (EventKind.FLUSH, 14)]
         assert events[0].t_start == 4
         assert (events[1].segment.t_start, events[1].segment.t_end) == (4, 16)
-        assert events[1].transcript_len == 2  # collapse([A,A,_,B]) = [A,B]
+        assert events[1].segment.transcript_len == 2  # collapse([A,A,_,B]) = [A,B]
         assert events[2].t_start == 22
         assert (events[3].segment.t_start, events[3].segment.t_end) == (22, 28)
-        assert events[3].transcript_len == 1  # collapse([C,C]) = [C]
+        assert events[3].segment.transcript_len == 1  # collapse([C,C]) = [C]
 
     def test_only_blanks_no_events(self):
         assert run_online([0] * 20, FIG1_CFG, 40) == []
@@ -298,6 +298,40 @@ class TestPipeline:
         with pytest.raises(InvalidConfig):
             segment_posteriors(fig1_stream, cfg)
 
+    def test_count_and_filter_match_brute_force_on_10k_streams(self):
+        # The reference count is the oracle's collapse of each anchor span, and the
+        # reference filter is written out here; alpha varies per stream, and half
+        # the streams sit alpha on one segment's own ratio, which must reject.
+        rng = np.random.default_rng(20261019)
+        segments = merged = rejected = 0
+        for _ in range(10_000):
+            labels, v, m_s, m_e, r, total = random_stream_case(rng)
+            cfg = SegmenterConfig(v_threshold=v, onset_margin=m_s, offset_margin=m_e,
+                                  subsample_factor=r, blank_id=0)
+            events = run_online(labels, cfg, total)
+            segs = segments_from_events(events, cfg, total)
+            parts = [ev.segment for ev in events if ev.segment is not None]
+            ratios = []
+            for seg in segs:
+                span = labels[seg.k_first_nonblank - 1:seg.k_last_nonblank]
+                assert seg.transcript_len == len(ctc_collapse(span, 0))
+                inside = [p.transcript_len for p in parts
+                          if seg.k_first_nonblank <= p.k_first_nonblank <= seg.k_last_nonblank]
+                assert seg.transcript_len == sum(inside)
+                merged += len(inside) > 1
+                ratios.append(seg.transcript_len / -(-(seg.t_end - seg.t_start + 1) // r))
+            alpha = float(rng.uniform(0.0, 0.6))
+            if ratios and rng.random() < 0.5 and max(ratios) < 1.0:
+                alpha = max(ratios)
+            cfg = dataclasses.replace(cfg, min_len_ratio=alpha)
+            expected = [(i, s.t_start, s.t_end, s.transcript_len) for i, s in enumerate(
+                [s for s, ratio in zip(segs, ratios) if ratio > alpha], start=1)]
+            got = filter_short_segments(segs, cfg)
+            assert [(s.index, s.t_start, s.t_end, s.transcript_len) for s in got] == expected
+            segments += len(segs)
+            rejected += len(segs) - len(got)
+        assert merged > 1000 and 0.2 * segments < rejected < 0.8 * segments
+
     def test_reconstruction_with_filter_matches_pipeline(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
@@ -308,6 +342,6 @@ class TestPipeline:
                                   subsample_factor=r, blank_id=0, min_len_ratio=0.1)
             stream = stream_from_labels(labels, 6, subsample_factor=r)
             events = run_online(labels, cfg, stream.total_feature_frames)
-            rebuilt = segments_from_events(events, cfg, stream.total_feature_frames,
-                                           apply_min_length=True)
+            rebuilt = filter_short_segments(
+                segments_from_events(events, cfg, stream.total_feature_frames), cfg)
             assert rebuilt == segment_posteriors(stream, cfg)
