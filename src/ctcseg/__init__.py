@@ -23,7 +23,7 @@ _EXPORTS = {
     "energy": ("energy_vad",),
     "errors": ("BadMagic", "CtcSegError", "EmptyAudio", "FormatError",
                "InvalidConfig", "InvalidState", "NonFiniteScore", "ProbabilityOutOfRange",
-               "RowError", "RowSumViolation", "SinkError", "TruncatedFile",
+               "RowError", "RowSumViolation", "TruncatedFile",
                "VersionMismatch"),
     "greedy": ("greedy_decode", "greedy_label"),
     "io": ("PosteriorReader", "read_annotation", "read_posterior_file", "read_wav_mono",

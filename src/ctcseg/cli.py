@@ -21,7 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # Only what `segment` needs is loaded here; each other command imports its
 # own modules when it runs.
 from .core import ReferenceAnnotation, Segment, SegmenterConfig, check_layout, steps_in
-from .errors import CtcSegError, SinkError
+from .errors import CtcSegError
 from .io import (PosteriorReader, format_event, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
 from .segmenter import (OnlineSegmenter, filter_short_segments, segment_posteriors,
@@ -179,10 +179,11 @@ def cmd_segment(args) -> int:
                 _info(f"segmented {reader.num_frames} steps into {len(segments)} segments")
                 write_segments(segments, args.format, sink)
                 sink.flush()
-        except (OSError, SinkError) as exc:
+        except OSError as exc:
             # The sink takes no more output: point it at devnull so the flush at exit
             # cannot fail again. A reader that has gone (`| head`) is not an error.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sink.fileno())
             if not isinstance(exc, BrokenPipeError):
                 raise
     return 0
@@ -238,9 +239,8 @@ def cmd_eval(args) -> int:
     _check_coverage("WAV", len(samples) / rate, reader)
     from .energy import energy_vad
 
-    energy_segments = [s for s in energy_vad(samples, rate, frame_shift_ms,
-                                             args.energy_threshold, args.hangover)
-                       if s.t_start <= total]
+    energy_segments = energy_vad(samples, rate, frame_shift_ms, args.energy_threshold,
+                                 args.hangover)
     energy_report = evaluate(energy_segments, ref, frame_shift_ms, total)
     print(json.dumps(
         {"ctc_blank_run": report.as_dict(), "energy_vad": energy_report.as_dict()},

@@ -51,7 +51,3 @@ class ProbabilityOutOfRange(RowError):
 
 class RowSumViolation(RowError):
     """A probability row does not sum to 1 within tolerance."""
-
-
-class SinkError(CtcSegError):
-    """Writing segment output to a sink failed."""

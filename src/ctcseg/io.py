@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (PosteriorStream, ReferenceAnnotation, Segment, SegmentEvent, check_layout,
                    validate_rows)
-from .errors import (BadMagic, FormatError, InvalidConfig, RowError, SinkError, TruncatedFile,
+from .errors import (BadMagic, FormatError, InvalidConfig, RowError, TruncatedFile,
                      VersionMismatch)
 
 MAGIC = b"CTCP"
@@ -223,19 +223,9 @@ def _segment_lines(segments: list[Segment], fmt: str) -> list[str]:
     raise ValueError(f"unknown segment format {fmt!r}")
 
 
-def write_segments(segments: list[Segment], fmt: str, sink: str | Path | TextIO) -> None:
-    """Write segments as jsonl, ctm-like, or tsv lines; byte-stable for fixed input."""
-    text = "".join(line + "\n" for line in _segment_lines(segments, fmt))
-    try:
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            with open(sink, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text)
-    except BrokenPipeError:
-        raise  # the reader has gone (`| head`); callers decide if that is an error
-    except OSError as exc:
-        raise SinkError(f"failed writing segments: {exc}") from exc
+def write_segments(segments: list[Segment], fmt: str, sink: TextIO) -> None:
+    """Write segments to a text sink as jsonl, ctm-like, or tsv lines; byte-stable."""
+    sink.write("".join(line + "\n" for line in _segment_lines(segments, fmt)))
 
 
 def read_annotation(path: str | Path, label_alphabet_size: int = 32) -> ReferenceAnnotation:

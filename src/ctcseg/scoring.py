@@ -32,14 +32,15 @@ class EvalReport:
 
 def evaluate(hyp: list[Segment], ref: ReferenceAnnotation, frame_shift_ms: float,
              total_frames: int) -> EvalReport:
-    """Score hypothesis segments against the annotation on the feature-frame grid."""
+    """Score each hypothesis segment's part on frames 1..total_frames against the annotation."""
     hyp_spans = []
     prev_end = 0
     for seg in hyp:
         if seg.t_start <= prev_end:
             raise ValueError("hypothesis segments must be sorted and disjoint")
         prev_end = seg.t_end
-        hyp_spans.append((seg.t_start, min(seg.t_end, total_frames)))
+        if seg.t_start <= total_frames:
+            hyp_spans.append((seg.t_start, min(seg.t_end, total_frames)))
     ref_spans = ref.region_frame_spans(frame_shift_ms, total_frames)
 
     hyp_mask = _span_mask(hyp_spans, total_frames)

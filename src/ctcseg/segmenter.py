@@ -84,8 +84,9 @@ def encoded_length(segment: Segment, r: int) -> int:
 def filter_short_segments(segments: list[Segment], cfg: SegmenterConfig) -> list[Segment]:
     """Drop segments whose collapsed transcript is too short for their span.
 
-    output_len is the segment's transcript_len; encoded_len the expanded
-    span in subsampled steps. Kept segments are reindexed 1..n.
+    output_len is the segment's transcript_len, encoded_len the expanded span
+    in subsampled steps; kept segments are reindexed 1..n. A transcript_len of
+    0, as on every energy_vad segment, is rejected at any ratio, 0.0 included.
     """
     r, alpha = cfg.subsample_factor, cfg.min_len_ratio
     return _reindex([seg for seg in segments

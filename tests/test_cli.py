@@ -1,3 +1,4 @@
+import errno
 import io
 import itertools
 import json
@@ -283,6 +284,32 @@ class TestSegmentCommand:
         assert proc.returncode == 1
         err = proc.stderr.decode()
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("repeats", [3, 2_000])
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    def test_a_full_output_file_is_one_error_in_every_mode(self, tmp_path, mode, repeats):
+        # 3 segments fit the text layer's 8 KiB buffer, so the write fails at flush;
+        # 2,000 (over 100 KB) do not, so the write itself fails.
+        path = tmp_path / "in.ctcp"
+        write_posteriors(stream_from_labels([1, 2, 0, 0] * repeats, 3), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctcseg", "segment", "--input", str(path), "--mode", mode,
+             "-V", "2", "--onset-margin", "0", "--offset-margin", "0", "--output", "/dev/full"],
+            capture_output=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == (
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full") or not os.path.isdir("/proc/self/fd"),
+                        reason="needs /dev/full and /proc/self/fd")
+    def test_a_failed_write_in_process_leaves_no_descriptor_open(self, fig1_ctcp, capsys):
+        before = len(os.listdir("/proc/self/fd"))
+        code, _, err = run_cli(["segment", "--input", str(fig1_ctcp), "--output", "/dev/full"],
+                               capsys)
+        assert code == 1 and err.startswith("error:")
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def _ctcp_header(num_frames=0, num_labels=3, blank_id=0, frame_shift_ms=10.0,

@@ -59,6 +59,12 @@ class TestEvaluate:
         rep = evaluate(hyp, ref, 10.0, 400)
         assert rep.boundary_mae_frames == 2.0
 
+    def test_a_segment_that_starts_past_the_stream_is_not_scored(self):
+        ref = _ref([(0.0, 1.0)], 2.0)
+        hyp = [_seg(1, 1, 100)]
+        assert (evaluate(hyp + [_seg(2, 201, 205)], ref, 10.0, 200)
+                == evaluate(hyp, ref, 10.0, 200))
+
     def test_unsorted_hypothesis_rejected(self):
         ref = _ref([(0.0, 1.0)], 2.0)
         with pytest.raises(ValueError):

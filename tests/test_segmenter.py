@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcseg import (EventKind, InvalidConfig, InvalidState, LabelStream, OnlineSegmenter,
-                    SegmenterConfig, encoded_length, filter_short_segments,
+                    SegmenterConfig, encoded_length, energy_vad, filter_short_segments,
                     min_length_filter, segment_offline, segment_posteriors,
                     segments_from_events)
 
@@ -106,6 +106,14 @@ class TestMinLengthFilter:
         cfg = dataclasses.replace(FIG1_CFG, min_len_ratio=0.26)
         kept = filter_short_segments(segs, cfg)
         assert [(s.index, s.t_start, s.t_end) for s in kept] == [(1, 4, 16)]
+
+    def test_an_energy_segment_is_rejected_at_ratio_zero(self):
+        samples = np.zeros(48_000)
+        samples[16_000:32_000] = 0.5  # a 1 s burst in 3 s at 16 kHz
+        segs = energy_vad(samples, 16_000, 10.0, threshold=0.001)
+        assert [s.transcript_len for s in segs] == [0]
+        cfg = SegmenterConfig(subsample_factor=1, min_len_ratio=0.0)
+        assert filter_short_segments(segs, cfg) == []
 
     def test_encoded_length_is_ceil_of_span(self):
         segs = segment_offline(LabelStream(FIG1_LABELS, blank_id=0), FIG1_CFG, 28)
