@@ -21,7 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # Only what `segment` needs is loaded here; each other command imports its
 # own modules when it runs.
 from .core import ReferenceAnnotation, Segment, SegmenterConfig, check_layout, steps_in
-from .errors import CtcSegError
+from .errors import CtcSegError, RowError
 from .io import (PosteriorReader, format_event, read_annotation, read_posterior_file,
                  read_wav_mono, write_posteriors, write_segments)
 from .segmenter import (OnlineSegmenter, filter_short_segments, segment_posteriors,
@@ -138,10 +138,16 @@ def _info(message: str) -> None:
 
 
 def _events(reader: PosteriorReader, cfg: SegmenterConfig):
-    """Push each block's greedy labels as it arrives; yield each push's events, then finish's."""
+    """Push each read's greedy labels; yield a push's events once its rows pass, then finish's."""
     segmenter = OnlineSegmenter(cfg, frame_shift_ms=reader.frame_shift_ms)
     for labels in reader.labels():
-        yield segmenter.push(labels.tolist())
+        if events := segmenter.push(labels.tolist()):
+            try:
+                reader.check()
+            except RowError as exc:  # push is causal: the events of the stream cut before the row
+                yield [event for event in events if event.emitted_at_step < exc.row]
+                raise
+            yield events
     yield segmenter.finish(reader.total_feature_frames)
 
 
@@ -169,7 +175,7 @@ def cmd_segment(args) -> int:
             sink = stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
         try:
             if args.mode == "online":
-                for events in _events(reader, cfg):  # each block's events as soon as they exist
+                for events in _events(reader, cfg):  # each read's events as soon as they exist
                     if events:
                         sink.write("".join(format_event(ev, reader.frame_shift_ms) + "\n"
                                            for ev in events))
@@ -345,7 +351,17 @@ def entrypoint() -> None:
     # short write; a buffered layer retries it or raises.
     if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
         sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, closefd=False)
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # as in cmd_segment: a reader that has gone is not an error
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    # Everything is written: skip the interpreter's teardown, which costs tens of ms.
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -61,17 +61,17 @@ def _readinto(fileobj) -> Callable[[memoryview], int]:
 class PosteriorReader:
     """Incremental CTCP reader over a binary file object.
 
-    Parses and validates the header eagerly. blocks() then reads the rows
-    in blocks of about BLOCK_BYTES and validates each block once; labels(),
-    rows() and to_stream() are views of that one path. Memory is bounded by
-    the block size, never by the sizes the header declares.
+    Parses and validates the header eagerly. One loop then reads the rows into
+    a buffer of about BLOCK_BYTES, and check() validates each row once; blocks(),
+    labels(), rows() and to_stream() are views of that path. Memory is bounded by
+    the buffer size, never by the sizes the header declares.
     """
 
     def __init__(self, fileobj: BinaryIO):
         self._readinto = _readinto(fileobj)
         # On an empty buffer, a buffered reader's read1 makes one raw read of just the
-        # size asked; readinto1 would fill that buffer with row bytes, and blocks() would
-        # then wait on one more raw read before handing those rows on.
+        # size asked; readinto1 would fill that buffer with row bytes, and the row loop
+        # would then wait on one more raw read before handing those rows on.
         read = _into(fileobj.read1) if hasattr(fileobj, "read1") else self._readinto
         raw = memoryview(bytearray(HEADER_SIZE))
         got = 0
@@ -95,58 +95,80 @@ class PosteriorReader:
         self.frame_shift_ms = frame_shift_ms
         self.subsample_factor = subsample_factor
         self.probabilities = bool(flags & _FLAG_PROBABILITIES)
+        # The buffer's rows, the stream rows before them, and how many are checked and handed on
+        self._rows = np.empty((0, num_labels), dtype=np.float32)
+        self._first = self._checked = self._handed = 0
 
     @property
     def total_feature_frames(self) -> int:
         return self.num_frames * self.subsample_factor
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """Validated (n, num_labels) float32 blocks of consecutive rows, n >= 1.
+    def _reads(self) -> Iterator[np.ndarray]:
+        """Each read's new complete rows, unchecked, as views of one reusable buffer.
 
-        A block is a view of a reusable buffer and is valid until the next
-        one is requested. Each read takes what the source has ready, and all
-        complete rows in hand are handed on before the next read, so a live
-        pipe never waits for more than the row in progress. Reading stops at
-        the last declared row. On a bad row the rows before it come first as
-        a block of their own, then its RowError is raised.
+        A read takes what the source has ready, so a live pipe never waits for
+        more than the row in progress. The loop calls check() before it reuses
+        the buffer, before it raises TruncatedFile and at the last declared row.
         """
         num_labels, row_bytes = self.num_labels, 4 * self.num_labels
         capacity = min(max(1, BLOCK_BYTES // row_bytes), self.num_frames) * row_bytes
         buf = np.empty(0, dtype=np.uint8)
-        done = have = 0  # rows handed on; bytes of the row in progress
-        while done < self.num_frames:
-            if have == buf.size:  # first read, or a long row filled it: new buffer and views
-                grown = np.empty(min(max(2 * buf.size, BLOCK_BYTES), capacity), dtype=np.uint8)
-                grown[:have] = buf[:have]
-                buf, mem = grown, memoryview(grown)
-                rows = buf[:buf.size - buf.size % row_bytes].view("<f4").reshape(-1, num_labels)
-            end = min(buf.size, (self.num_frames - done) * row_bytes)
-            n = self._readinto(mem[have:end])
+        have = 0  # bytes in the buffer: the rows handed on, then the row in progress
+        while self._first + self._handed < self.num_frames:
+            if have == buf.size:  # full: check its rows, then reuse it or grow it
+                self.check()
+                have -= (start := self._handed * row_bytes)
+                if start:
+                    buf[:have] = buf[start:start + have]
+                else:  # first read, or a long row filled it: new buffer and views
+                    grown = np.empty(min(max(2 * buf.size, BLOCK_BYTES), capacity), dtype=np.uint8)
+                    grown[:have] = buf[:have]
+                    buf, mem = grown, memoryview(grown)
+                    self._rows = np.ndarray((buf.size // row_bytes, num_labels), "<f4", buf)
+                self._first, self._checked, self._handed = self._first + self._handed, 0, 0
+            n = self._readinto(mem[have:min(buf.size, (self.num_frames - self._first) * row_bytes)])
             if not n:
-                offset = HEADER_SIZE + done * row_bytes + have
-                raise TruncatedFile(f"stream ended in row {done + 1} of {self.num_frames} "
-                                    f"at offset {offset}")
+                self.check()
+                raise TruncatedFile(f"stream ended in row {self._first + self._handed + 1} of "
+                                    f"{self.num_frames} at offset "
+                                    f"{HEADER_SIZE + self._first * row_bytes + have}")
             have += n
-            k = have // row_bytes
-            if not k:
-                continue
-            block = rows[:k]
+            if k := have // row_bytes - self._handed:
+                self._handed += k
+                yield self._rows[self._handed - k:self._handed]
+        self.check()
+
+    def check(self) -> None:
+        """Validate, in one validate_rows call, the rows handed on since the last check."""
+        validate_rows(self._rows[self._checked:self._handed], self.probabilities,
+                      first_row=self._first + self._checked + 1)
+        self._checked = self._handed
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Validated (n, num_labels) float32 blocks of consecutive rows, n >= 1.
+
+        A block is one read's new rows, checked before it is yielded: a view of a
+        reusable buffer, valid until the next block is requested. On a bad row the
+        rows before it come first as a block of their own, then its RowError.
+        """
+        for block in self._reads():
             try:
-                validate_rows(block, self.probabilities, first_row=done + 1)
+                self.check()
             except RowError as exc:
-                if exc.row > done + 1:
-                    yield block[:exc.row - done - 1]
-                raise exc
+                if good := exc.row - self._first - self._checked - 1:
+                    yield block[:good]
+                raise
             yield block
-            done += k
-            have -= k * row_bytes
-            if have:
-                buf[:have] = buf[k * row_bytes:k * row_bytes + have]
 
     def labels(self) -> Iterator[np.ndarray]:
-        """Greedy label IDs (per-row argmax, ties to the lowest ID), one array per block."""
-        for block in self.blocks():
-            yield block.argmax(axis=1)
+        """Greedy label IDs (per-row argmax, ties to the lowest ID), one array per read.
+
+        Yielded before the read's rows are checked: call check() before acting on
+        them. Unchecked rows are checked at the latest when the buffer is reused,
+        before TruncatedFile and at end of stream.
+        """
+        for rows in self._reads():
+            yield rows.argmax(axis=1)
 
     def rows(self) -> Iterator[np.ndarray]:
         """One f32 vector per declared row; each is a copy, safe to keep."""

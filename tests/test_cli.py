@@ -12,6 +12,7 @@ import wave
 import numpy as np
 import pytest
 
+import ctcseg.io
 from ctcseg import (EventKind, LabelStream, PosteriorStream, Segment, SegmentEvent,
                     SegmenterConfig, filter_short_segments, greedy_decode, read_posterior_file,
                     segment_posteriors, segments_from_events, write_posteriors)
@@ -341,6 +342,122 @@ def _parse_events(out):
     return events
 
 
+class PacedStdin:
+    """Stands in for sys.stdin: each readinto1 of stdin.buffer hands over at most `rows` rows."""
+
+    def __init__(self, data: bytes, row_bytes: int, rows: int = 6):
+        self.buffer = self
+        self.data, self.pos, self.most = memoryview(data), 0, rows * row_bytes
+
+    def readinto1(self, view) -> int:
+        n = min(len(view), self.most, len(self.data) - self.pos)
+        view[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n
+
+
+# V = 2 and no margins: open 1, close 3, open 5, close 8, open 10, close 12.
+CUT_LABELS = [1, 0, 0, 0, 2, 2, 0, 0, 0, 3, 0, 0]
+CUT_FLAGS = ["-V", "2", "--onset-margin", "0", "--offset-margin", "0"]
+# Each bad row decodes to label 1, so it would open or extend a segment.
+BAD_ROWS = {"non-finite": [0.0, np.nan, 0.5, 0.5], "row-sum": [0.1, 0.9, 0.5, 0.0],
+            "out-of-range": [-0.25, 1.25, 0.0, 0.0]}
+
+
+def _run_source(argv, data, source, capsys, monkeypatch, path):
+    """Run main with the CTCP bytes as --input, as one --stream read, or paced by one row."""
+    if source == "input":
+        path.write_bytes(data)
+        return run_cli([*argv, "--input", str(path)], capsys)
+    stdin = FakeStdin(data) if source == "stream" else PacedStdin(data, 16, rows=1)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    return run_cli([*argv, "--stream"], capsys)
+
+
+@pytest.mark.parametrize("source", ["input", "stream", "stream-row-by-row"])
+@pytest.mark.parametrize("bad_row", [
+    pytest.param(1, id="first"),
+    pytest.param(7, id="middle-sharing-a-read-with-the-open-at-10"),
+    pytest.param(9, id="after-a-gap-whose-close-is-at-8"),
+    pytest.param(12, id="last"),
+])
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_online_stdout_on_a_bad_row_is_that_of_the_stream_cut_before_it(
+        tmp_path, capsys, monkeypatch, kind, bad_row, source):
+    frames = stream_from_labels(CUT_LABELS, 4).frames.copy()
+    frames[bad_row - 1] = BAD_ROWS[kind]
+    data = _ctcp_bytes(frames)
+    argv = ["segment", "--mode", "online", *CUT_FLAGS]
+    code, out, err = _run_source(argv, data, source, capsys, monkeypatch, tmp_path / "bad.ctcp")
+    assert code == 1 and err.startswith(f"error: row {bad_row} "), err
+    cut = data[:len(_ctcp_header()) + 16 * (bad_row - 1)]
+    code, expected, err = _run_source(argv, cut, source, capsys, monkeypatch,
+                                      tmp_path / "cut.ctcp")
+    assert code == 1 and "stream ended" in err
+    assert out == expected
+    assert all(event.emitted_at_step < bad_row for event in _parse_events(out))
+
+
+@pytest.mark.parametrize("block_rows", [10, None])
+@pytest.mark.parametrize("argv", [
+    ["segment", "--mode", "online", "--input", "{ctcp}"],
+    ["segment", "--mode", "online", "--stream"],
+    ["segment", "--mode", "offline", "--input", "{ctcp}"],
+    ["segment", "--mode", "offline", "--stream"],
+    ["eval", "--input", "{ctcp}", "--ref", "{ref}"],
+])
+def test_every_row_is_validated_exactly_once(tmp_path, capsys, monkeypatch, write_annotation,
+                                             argv, block_rows):
+    labels = ([0] * 7 + [1, 2, 2, 3] + [0] * 20) * 8  # 248 rows, events in many reads
+    stream = stream_from_labels(labels, 4, subsample_factor=4)
+    ctcp = tmp_path / "in.ctcp"
+    write_posteriors(stream, ctcp)
+    ref = write_annotation([], stream.duration_sec)
+    monkeypatch.setattr(sys, "stdin", PacedStdin(ctcp.read_bytes(), 16))
+    if block_rows:  # the buffer is reused every 10 rows, across the 6-row reads
+        monkeypatch.setattr(ctcseg.io, "BLOCK_BYTES", block_rows * 16)
+    buffer_rows = ctcseg.io.BLOCK_BYTES // 16
+    checked = []
+    validate = ctcseg.io.validate_rows
+
+    def counting(rows, *args, **kwargs):
+        checked.append(rows.shape[0])
+        return validate(rows, *args, **kwargs)
+
+    monkeypatch.setattr(ctcseg.io, "validate_rows", counting)
+    argv = [a.format(ctcp=ctcp, ref=ref) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert out
+    assert sum(checked) == len(labels)
+    assert max(checked) <= buffer_rows  # the rows awaiting their check stay in the buffer
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", [["eval", "--input", "{ctcp}", "--ref", "{ref}"],
+                                     ["bench", "--duration", "2", "--repeat", "1"]])
+def test_eval_and_bench_on_a_closed_or_full_stdout(tmp_path, write_annotation, command,
+                                                   unbuffered):
+    ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)
+    argv = [sys.executable, "-m", "ctcseg", *(a.format(ctcp=ctcp, ref=ref) for a in command)]
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}  # "" leaves stdout buffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before anything is written
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == (
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
 # segment and eval take the same segmenter flags; --input and --ref are not opened here.
 PROFILE_COMMANDS = (["segment", "--input", "x"], ["eval", "--input", "x", "--ref", "y"])
 
@@ -653,9 +770,10 @@ def test_module_invocation_smoke():
 @pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"), reason="Linux scheduling policies")
 def test_command_runs_as_sched_batch_and_main_keeps_the_caller_policy(fig1_ctcp, capsys):
     policy = os.sched_getscheduler(0)
-    probe = ("import atexit, os, sys; from ctcseg.cli import entrypoint; "
-             "atexit.register(lambda: print(os.sched_getscheduler(0))); "
-             "sys.argv[1:] = ['segment', '--input', sys.argv[1]]; entrypoint()")
+    # entrypoint ends in os._exit, which runs no atexit hook: read the policy after main.
+    probe = ("import os, sys; import ctcseg.cli as cli; main = cli.main; "
+             "cli.main = lambda: (main(), print(os.sched_getscheduler(0)))[0]; "
+             "sys.argv[1:] = ['segment', '--input', sys.argv[1]]; cli.entrypoint()")
     proc = subprocess.run([sys.executable, "-c", probe, str(fig1_ctcp)],
                           capture_output=True, text=True)
     assert proc.returncode == 0

@@ -269,3 +269,38 @@ def test_live_pipe_events_arrive_before_the_next_row():
         proc.wait()
         for stream in (proc.stdin, proc.stdout, proc.stderr):
             stream.close()
+
+
+def test_live_pipe_bad_row_is_reported_with_the_next_event_and_no_event_after_it():
+    # V = 2: open 1, close 3, open 4; the bad row 5 decodes to label 2 and extends
+    # that segment, row 6 decides nothing, and row 7 would close it at step 7.
+    labels = [1, 0, 0, 2, 2, 0, 0, 0]
+    rows = one_hot_rows(labels, 256)
+    rows[4, :2] = 0.5  # row 5 sums to 2
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctcseg", "segment", "--stream", "--mode", "online",
+         "-V", "2", "--onset-margin", "0", "--offset-margin", "0"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env={**os.environ, "PYTHONPATH": SRC})
+    try:
+        data = ctcp(rows)
+        proc.stdin.write(data[:HEADER.size])
+        for k, (row, expected) in enumerate(zip(rows[:4], [1, 0, 1, 1]), start=1):
+            proc.stdin.write(row.tobytes())
+            lines, partial = _read_lines(proc.stdout, expected, timeout_s=20.0)
+            assert len(lines) == expected and partial == b"", f"row {k}: {lines} {partial}"
+            assert all(f'"step": {k},'.encode() in line for line in lines)
+        for row in rows[4:6]:  # no event yet, so no check: the command waits for more rows
+            proc.stdin.write(row.tobytes())
+            with selectors.DefaultSelector() as sel:  # neither a line nor end of file
+                sel.register(proc.stdout, selectors.EVENT_READ)
+                assert not sel.select(0.5)
+        proc.stdin.write(rows[6].tobytes())
+        assert proc.wait(timeout=20) == 1
+        assert proc.stdout.read() == b""
+        assert proc.stderr.read().decode() == "error: row 5 sums to 2.000000, not 1\n"
+    finally:
+        proc.kill()
+        proc.wait()
+        for stream in (proc.stdin, proc.stdout, proc.stderr):
+            stream.close()
