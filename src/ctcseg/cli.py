@@ -1,13 +1,14 @@
 """Command-line entry points: segment, simulate, eval, bench.
 
 Data goes to stdout, diagnostics to stderr when CTC_SEG_LOG is DEBUG,
-INFO or NOTSET. Exit codes: 0 success, 1 input/format errors, 2 bad flags.
+INFO or NOTSET. Exit codes: 0 success, 1 input, format or output errors, 2 bad flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -22,10 +23,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # own modules when it runs.
 from .core import ReferenceAnnotation, Segment, SegmenterConfig, check_layout, steps_in
 from .errors import CtcSegError, RowError
-from .io import (PosteriorReader, format_event, read_annotation, read_posterior_file,
-                 read_wav_mono, write_posteriors, write_segments)
-from .segmenter import (OnlineSegmenter, filter_short_segments, segment_posteriors,
-                        segments_from_events)
+from .io import (PosteriorReader, format_event, read_annotation, read_wav_mono,
+                 write_posteriors, write_segments)
+from .segmenter import OnlineSegmenter, filter_short_segments, segments_from_events
 
 # Named presets: v_threshold / onset / offset tuned per encoder setup.
 PROFILES = {
@@ -37,7 +37,7 @@ DEFAULT_PROFILE = "csj"
 
 
 def _add_segmenter_flags(parser: argparse.ArgumentParser) -> None:
-    """The segmenter flags of segment and eval; None means "not given" (see _resolve_cfg)."""
+    """The segmenter flags of segment and eval; None means "not given" (see _reader_cfg)."""
     parser.add_argument("-V", "--threshold", dest="v_threshold", type=int,
                         help="minimum blank run (subsampled steps) ending a segment")
     parser.add_argument("--onset-margin", dest="onset_margin", type=int,
@@ -113,28 +113,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cfg(args, blank_id: int, subsample_factor: int) -> SegmenterConfig:
-    """An explicit flag beats the --profile preset, which beats SegmenterConfig's default."""
-    chosen = dict(PROFILES[args.profile or DEFAULT_PROFILE])
-    for key in ("v_threshold", "onset_margin", "offset_margin", "min_len_ratio"):
-        if getattr(args, key, None) is not None:
-            chosen[key] = getattr(args, key)
-    return SegmenterConfig(subsample_factor=subsample_factor, blank_id=blank_id, **chosen)
-
-
 def _reader_cfg(args, reader: PosteriorReader) -> SegmenterConfig:
-    """The config for one stream: --blank-id over the header's, checked against its labels."""
+    """One stream's config: --blank-id beats the header, a flag the --profile preset."""
     blank_id = getattr(args, "blank_id", None)
     if blank_id is None:
         blank_id = reader.blank_id
     check_layout(reader.num_labels, blank_id, reader.frame_shift_ms, reader.subsample_factor)
-    return _resolve_cfg(args, blank_id, reader.subsample_factor)
+    chosen = dict(PROFILES[args.profile or DEFAULT_PROFILE])
+    for key in ("v_threshold", "onset_margin", "offset_margin", "min_len_ratio"):
+        if getattr(args, key, None) is not None:
+            chosen[key] = getattr(args, key)
+    return SegmenterConfig(subsample_factor=reader.subsample_factor, blank_id=blank_id, **chosen)
 
 
 def _info(message: str) -> None:
     """One diagnostic line on stderr, when CTC_SEG_LOG is DEBUG, INFO or NOTSET."""
     if os.environ.get("CTC_SEG_LOG", "").upper() in ("DEBUG", "INFO", "NOTSET"):
         print(f"INFO ctcseg: {message}", file=sys.stderr)
+
+
+def _std(name: str):
+    """sys.stdin or sys.stdout; Python sets it to None when the process starts with it closed."""
+    if (stream := getattr(sys, name)) is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    return stream
 
 
 def _events(reader: PosteriorReader, cfg: SegmenterConfig):
@@ -167,31 +169,23 @@ def cmd_segment(args) -> int:
         if args.input is not None:
             source = stack.enter_context(open(args.input, "rb"))
         else:
-            source = sys.stdin.buffer
+            source = _std("stdin").buffer
         reader = PosteriorReader(source)
         cfg = _reader_cfg(args, reader)
-        sink = sys.stdout
         if args.output is not None:
             sink = stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
-        try:
-            if args.mode == "online":
-                for events in _events(reader, cfg):  # each read's events as soon as they exist
-                    if events:
-                        sink.write("".join(format_event(ev, reader.frame_shift_ms) + "\n"
-                                           for ev in events))
-                        sink.flush()
-            else:
-                segments = _offline_segments(reader, cfg)
-                _info(f"segmented {reader.num_frames} steps into {len(segments)} segments")
-                write_segments(segments, args.format, sink)
-                sink.flush()
-        except OSError as exc:
-            # The sink takes no more output: point it at devnull so the flush at exit
-            # cannot fail again. A reader that has gone (`| head`) is not an error.
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sink.fileno())
-            if not isinstance(exc, BrokenPipeError):
-                raise
+        else:
+            sink = _std("stdout")
+        if args.mode == "online":
+            for events in _events(reader, cfg):  # each read's events as soon as they exist
+                if events:
+                    sink.write("".join(format_event(ev, reader.frame_shift_ms) + "\n"
+                                       for ev in events))
+                    sink.flush()
+        else:
+            segments = _offline_segments(reader, cfg)
+            _info(f"segmented {reader.num_frames} steps into {len(segments)} segments")
+            write_segments(segments, args.format, sink)
     return 0
 
 
@@ -233,30 +227,23 @@ def cmd_eval(args) -> int:
         ref = read_annotation(args.ref)
         _check_coverage("annotation", ref.total_duration_sec, reader)
         hyp = _offline_segments(reader, _reader_cfg(args, reader))
-    total = reader.total_feature_frames
-    frame_shift_ms = reader.frame_shift_ms
-    report = evaluate(hyp, ref, frame_shift_ms, total)
+    total, frame_shift_ms = reader.total_feature_frames, reader.frame_shift_ms
+    report = evaluate(hyp, ref, frame_shift_ms, total).as_dict()
+    if args.compare:
+        samples, rate = read_wav_mono(args.wav)
+        _check_coverage("WAV", len(samples) / rate, reader)
+        from .energy import energy_vad
 
-    if not args.compare:
-        print(json.dumps(report.as_dict(), sort_keys=True))
-        return 0
-
-    samples, rate = read_wav_mono(args.wav)
-    _check_coverage("WAV", len(samples) / rate, reader)
-    from .energy import energy_vad
-
-    energy_segments = energy_vad(samples, rate, frame_shift_ms, args.energy_threshold,
-                                 args.hangover)
-    energy_report = evaluate(energy_segments, ref, frame_shift_ms, total)
-    print(json.dumps(
-        {"ctc_blank_run": report.as_dict(), "energy_vad": energy_report.as_dict()},
-        sort_keys=True,
-    ))
+        energy_segments = energy_vad(samples, rate, frame_shift_ms, args.energy_threshold,
+                                     args.hangover)
+        report = {"ctc_blank_run": report,
+                  "energy_vad": evaluate(energy_segments, ref, frame_shift_ms, total).as_dict()}
+    print(json.dumps(report, sort_keys=True), file=_std("stdout"))
     return 0
 
 
-def _synthetic_bench_stream(args):
-    """Alternating 2 s speech / 1 s silence filler for --input-less bench runs."""
+def _synthetic_bench_ctcp(args) -> bytes:
+    """CTCP bytes of alternating 2 s speech / 1 s silence filler for --input-less bench runs."""
     from .simulate import synthesize_posteriors
 
     duration, frame_shift_ms = args.duration, 10.0
@@ -269,12 +256,19 @@ def _synthetic_bench_stream(args):
         t += 3.0
     ref = ReferenceAnnotation(speech_regions=tuple(regions), total_duration_sec=duration,
                               label_alphabet_size=args.num_labels)
-    return synthesize_posteriors(ref, cfg, jitter_steps=1, spike_gap_max=8, seed=args.seed,
-                                 frame_shift_ms=frame_shift_ms)
+    sink = io.BytesIO()
+    write_posteriors(synthesize_posteriors(ref, cfg, jitter_steps=1, spike_gap_max=8,
+                                           seed=args.seed, frame_shift_ms=frame_shift_ms), sink)
+    return sink.getvalue()
 
 
 def cmd_bench(args) -> int:
+    """Time the path `segment` runs: _offline_segments over a PosteriorReader.
+
+    core reads CTCP bytes made before the clock starts (the --input file's or a synthetic
+    stream's), e2e the --input file on each run; the header gives config and length."""
     import statistics
+    from functools import partial
 
     from .scoring import measure_rtf
 
@@ -286,33 +280,26 @@ def cmd_bench(args) -> int:
             print("error: --rtf e2e needs --input (it times file reading too)",
                   file=sys.stderr)
             return 2
-        with open(args.input, "rb") as source:
-            reader = PosteriorReader(source)  # the header only
-        num_steps = reader.num_frames
-        audio_sec = reader.total_feature_frames * reader.frame_shift_ms / 1000.0
-        cfg = _reader_cfg(args, reader)
-
-        def work():
-            with open(args.input, "rb") as source:
-                _offline_segments(PosteriorReader(source), cfg)
+        source = partial(open, args.input, "rb")
+    elif args.input is not None:
+        source = partial(io.BytesIO, args.input.read_bytes())
+    elif args.duration <= 0:
+        print("error: zero-length input", file=sys.stderr)
+        return 1
     else:
-        if args.input is not None:
-            stream = read_posterior_file(args.input)
-        elif args.duration <= 0:
-            print("error: zero-length input", file=sys.stderr)
-            return 1
-        else:
-            stream = _synthetic_bench_stream(args)
-        num_steps = stream.num_steps
-        audio_sec = stream.duration_sec
-        cfg = _resolve_cfg(args, stream.blank_id, stream.subsample_factor)
-
-        def work():
-            segment_posteriors(stream, cfg)
-    if num_steps == 0:
+        source = partial(io.BytesIO, _synthetic_bench_ctcp(args))
+    with source() as header:
+        reader = PosteriorReader(header)  # the header only
+    cfg = _reader_cfg(args, reader)
+    if reader.num_frames == 0:
         print("error: zero-length input", file=sys.stderr)
         return 1
 
+    def work():
+        with source() as stream:
+            _offline_segments(PosteriorReader(stream), cfg)
+
+    audio_sec = reader.total_feature_frames * reader.frame_shift_ms / 1000.0
     runs = [measure_rtf(work, audio_sec) for _ in range(args.repeat)]
     median = statistics.median(runs)
     elapsed = median * audio_sec
@@ -320,28 +307,46 @@ def cmd_bench(args) -> int:
         "mode": args.rtf,
         "repeats": args.repeat,
         "audio_sec": audio_sec,
-        "num_frames": num_steps,
+        "num_frames": reader.num_frames,
         "rtf_median": median,
         "rtf_runs": runs,
-        "frames_per_sec": num_steps / elapsed if elapsed > 0 else 0.0,
-    }, sort_keys=True))
+        "frames_per_sec": reader.num_frames / elapsed if elapsed > 0 else 0.0,
+    }, sort_keys=True), file=_std("stdout"))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command, flush stdout and return the exit code, for every command and caller.
+
+    The only place a failed read or write becomes a code: a reader that has gone
+    (BrokenPipeError, as under `| head`) is not an error; any other OSError,
+    a CtcSegError or a ValueError, a closed stdin or stdout the command uses included,
+    is one `error:` line on stderr and code 1.
+    """
+    code = 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that no later flush fails again (if --output broke,
+        # stdout may be closed, None, or a stand-in with no descriptor).
+        with (open(os.devnull, "w") as devnull,
+              contextlib.suppress(AttributeError, io.UnsupportedOperation)):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     except (CtcSegError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 def entrypoint() -> None:
+    """The `ctcseg` command: main() on sys.argv, then exit without interpreter teardown."""
     # ctcseg commands are pipeline filters. As SCHED_BATCH, a write to the input pipe
     # wakes this process without preempting the writer in the middle of its work.
     with contextlib.suppress(AttributeError, OSError):  # not Linux, or not permitted
@@ -352,15 +357,9 @@ def entrypoint() -> None:
     if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
         sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, closefd=False)
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as exc:  # as in cmd_segment: a reader that has gone is not an error
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: {exc}", file=sys.stderr)
-            code = 1
     with contextlib.suppress(OSError):
         sys.stderr.flush()
-    # Everything is written: skip the interpreter's teardown, which costs tens of ms.
+    # main flushed stdout: skip the interpreter's teardown, which costs tens of ms.
     os._exit(code)
 
 

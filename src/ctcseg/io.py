@@ -199,7 +199,7 @@ def write_posteriors(stream: PosteriorStream, sink: str | Path | BinaryIO) -> No
     flags = 0 if stream.presoftmax else _FLAG_PROBABILITIES
     header = _HEADER.pack(MAGIC, VERSION, flags, 0, stream.num_steps, stream.num_labels,
                           stream.blank_id, stream.frame_shift_ms, stream.subsample_factor)
-    body = np.ascontiguousarray(stream.frames, dtype="<f4").tobytes()
+    body = np.ascontiguousarray(stream.frames, dtype="<f4").reshape(-1).view(np.uint8).data
     if hasattr(sink, "write"):
         sink.write(header)
         sink.write(body)

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import io
 import itertools
@@ -7,16 +8,19 @@ import os
 import struct
 import subprocess
 import sys
+import types
 import wave
 
 import numpy as np
 import pytest
 
+import ctcseg.cli
 import ctcseg.io
+import ctcseg.segmenter
 from ctcseg import (EventKind, LabelStream, PosteriorStream, Segment, SegmentEvent,
                     SegmenterConfig, filter_short_segments, greedy_decode, read_posterior_file,
                     segment_posteriors, segments_from_events, write_posteriors)
-from ctcseg.cli import PROFILES, build_parser, main, _resolve_cfg
+from ctcseg.cli import PROFILES, build_parser, main, _reader_cfg
 
 from conftest import FIG1_LABELS, FIG1_NUM_LABELS, FakeStdin, stream_from_labels
 
@@ -458,14 +462,86 @@ def test_eval_and_bench_on_a_closed_or_full_stdout(tmp_path, write_annotation, c
             f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
+# Commands that write to stdout, one of each (--help through argparse).
+STDOUT_COMMANDS = [["eval", "--input", "{ctcp}", "--ref", "{ref}"],
+                   ["bench", "--duration", "2", "--repeat", "1"], ["--help"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_main_applies_the_output_rule_in_process(tmp_path, write_annotation, capsys,
+                                                 monkeypatch, command):
+    ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)
+    argv = [a.format(ctcp=ctcp, ref=ref) for a in command]
+    full = open("/dev/full", "w")
+    try:
+        monkeypatch.setattr(sys, "stdout", full)
+        assert main(argv) == 1
+    finally:
+        monkeypatch.undo()
+        with contextlib.suppress(OSError):  # what main could not write is still buffered
+            full.close()
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before anything is written
+    with open(write_end, "w") as broken:
+        monkeypatch.setattr(sys, "stdout", broken)
+        assert main(argv) == 0
+        monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
+def _with_closed(fd, argv, **kwargs):
+    """Run `python -m ctcseg argv` with descriptor fd closed in the child."""
+    return subprocess.run(["sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, "-m",
+                           "ctcseg", *argv], capture_output=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--annotation", "{ref}", "--output", "{out}"],
+    ["segment", "--input", "{ctcp}", "--output", "{out}"],
+    ["segment", "--input", "{ctcp}", "--mode", "online", "--output", "{out}"],
+])
+def test_a_command_that_writes_no_stdout_runs_with_stdout_closed(tmp_path, write_annotation,
+                                                                 command):
+    ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)
+    outputs = []
+    for closed in (False, True):
+        out = tmp_path / f"out-{closed}"
+        argv = [a.format(ctcp=ctcp, ref=ref, out=out) for a in command]
+        proc = _with_closed(1, argv) if closed else subprocess.run(
+            [sys.executable, "-m", "ctcseg", *argv], capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b""), closed
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+@pytest.mark.parametrize("fd, command", [
+    (1, ["segment", "--input", "{ctcp}"]),
+    (1, ["segment", "--input", "{ctcp}", "--mode", "online"]),
+    *((1, command) for command in STDOUT_COMMANDS[:2]),
+    (0, ["segment", "--stream"]),
+    (0, ["segment", "--stream", "--mode", "online"]),
+])
+def test_a_closed_stdin_or_stdout_that_the_command_needs_is_one_error(
+        tmp_path, write_annotation, fd, command):
+    ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)
+    proc = _with_closed(fd, [a.format(ctcp=ctcp, ref=ref) for a in command])
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (1, b""), err
+    assert err == f"error: [Errno {errno.EBADF}] {('stdin', 'stdout')[fd]} is closed\n"
+
+
 # segment and eval take the same segmenter flags; --input and --ref are not opened here.
 PROFILE_COMMANDS = (["segment", "--input", "x"], ["eval", "--input", "x", "--ref", "y"])
 
 
 def _resolved_cfgs(*flags):
     """The config each command of PROFILE_COMMANDS resolves from the same flags."""
-    return [_resolve_cfg(build_parser().parse_args([*command, *flags]), blank_id=0,
-                         subsample_factor=4)
+    header = types.SimpleNamespace(num_labels=32, blank_id=0, frame_shift_ms=10.0,
+                                   subsample_factor=4)
+    return [_reader_cfg(build_parser().parse_args([*command, *flags]), header)
             for command in PROFILE_COMMANDS]
 
 
@@ -747,6 +823,42 @@ class TestBenchCommand:
         code, _, err = run_cli(["bench", "--input", str(path)], capsys)
         assert code == 1
 
+    def test_both_modes_time_the_path_segment_runs(self, tmp_path, capsys, monkeypatch,
+                                                   write_annotation):
+        ann = write_annotation([(0.5, 2.0)], 5.0)
+        ctcp = tmp_path / "bench.ctcp"
+        assert run_cli(["simulate", "--annotation", str(ann), "--output", str(ctcp),
+                        "--num-labels", "20", "-r", "2", "--blank-id", "3"], capsys)[0] == 0
+        offline = ctcseg.cli._offline_segments
+        cfgs = {"core": [], "e2e": []}
+        reports = {}
+        for mode in cfgs:
+            monkeypatch.setattr(ctcseg.cli, "_offline_segments", lambda reader, cfg, mode=mode:
+                                cfgs[mode].append(cfg) or offline(reader, cfg))
+            code, out, err = run_cli(["bench", "--input", str(ctcp), "--rtf", mode,
+                                      "--repeat", "2", "--profile", "ted-bi"], capsys)
+            assert code == 0, err
+            reports[mode] = json.loads(out)
+        assert len(cfgs["core"]) == len(cfgs["e2e"]) == 2
+        assert set(cfgs["core"]) == set(cfgs["e2e"]) == {SegmenterConfig(
+            v_threshold=16, onset_margin=4, offset_margin=10, subsample_factor=2, blank_id=3)}
+        assert ({k: reports["core"][k] for k in ("num_frames", "audio_sec")}
+                == {k: reports["e2e"][k] for k in ("num_frames", "audio_sec")}
+                == {"num_frames": 250, "audio_sec": 5.0})
+
+    def test_bench_never_runs_segment_posteriors(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bench timed segment_posteriors, which segment never runs")
+
+        monkeypatch.setattr(ctcseg.cli, "segment_posteriors", refuse, raising=False)
+        monkeypatch.setattr(ctcseg.segmenter, "segment_posteriors", refuse)
+        path = tmp_path / "in.ctcp"
+        write_posteriors(stream_from_labels([0, 1, 2, 0] * 50, 3, subsample_factor=4), path)
+        for argv in (["--duration", "2"], ["--input", str(path)],
+                     ["--input", str(path), "--rtf", "e2e"]):
+            code, out, err = run_cli(["bench", *argv, "--repeat", "1"], capsys)
+            assert code == 0, (argv, err)
+
 
 def test_main_leaves_the_caller_logging_alone(fig1_ctcp, capsys):
     root = logging.getLogger()
@@ -770,9 +882,10 @@ def test_module_invocation_smoke():
 @pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"), reason="Linux scheduling policies")
 def test_command_runs_as_sched_batch_and_main_keeps_the_caller_policy(fig1_ctcp, capsys):
     policy = os.sched_getscheduler(0)
-    # entrypoint ends in os._exit, which runs no atexit hook: read the policy after main.
+    # entrypoint ends in os._exit, which runs no atexit hook and flushes no stdout that
+    # main has not: read the policy after main, and flush it.
     probe = ("import os, sys; import ctcseg.cli as cli; main = cli.main; "
-             "cli.main = lambda: (main(), print(os.sched_getscheduler(0)))[0]; "
+             "cli.main = lambda: (main(), print(os.sched_getscheduler(0), flush=True))[0]; "
              "sys.argv[1:] = ['segment', '--input', sys.argv[1]]; cli.entrypoint()")
     proc = subprocess.run([sys.executable, "-c", probe, str(fig1_ctcp)],
                           capture_output=True, text=True)
