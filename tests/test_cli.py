@@ -831,10 +831,14 @@ class TestBenchCommand:
                         "--num-labels", "20", "-r", "2", "--blank-id", "3"], capsys)[0] == 0
         offline = ctcseg.cli._offline_segments
         cfgs = {"core": [], "e2e": []}
+
+        def recording(reader, cfg):
+            cfgs[mode].append(cfg)
+            return offline(reader, cfg)
+
+        monkeypatch.setattr(ctcseg.cli, "_offline_segments", recording)
         reports = {}
         for mode in cfgs:
-            monkeypatch.setattr(ctcseg.cli, "_offline_segments", lambda reader, cfg, mode=mode:
-                                cfgs[mode].append(cfg) or offline(reader, cfg))
             code, out, err = run_cli(["bench", "--input", str(ctcp), "--rtf", mode,
                                       "--repeat", "2", "--profile", "ted-bi"], capsys)
             assert code == 0, err
