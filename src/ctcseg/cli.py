@@ -346,12 +346,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    """The `ctcseg` command: main() on sys.argv, then exit without interpreter teardown."""
-    # ctcseg commands are pipeline filters. As SCHED_BATCH, a write to the input pipe
-    # wakes this process without preempting the writer in the middle of its work.
-    with contextlib.suppress(AttributeError, OSError):  # not Linux, or not permitted
-        if os.sched_getscheduler(0) == os.SCHED_OTHER:  # leave real-time and idle policies
-            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    """The `ctcseg` command: main() on sys.argv under the CPU policy the caller set,
+    then exit without interpreter teardown."""
     # Under PYTHONUNBUFFERED, text stdout writes to a raw file and drops the rest of a
     # short write; a buffered layer retries it or raises.
     if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):

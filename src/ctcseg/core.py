@@ -304,7 +304,7 @@ class ReferenceAnnotation:
             raise InvalidConfig("label alphabet needs at least blank plus one label")
         prev_end = 0.0
         for s, e in regions:
-            if s < prev_end or e <= s:
+            if not prev_end <= s < e:
                 raise ValueError(f"regions must be sorted, non-overlapping, non-empty: ({s}, {e})")
             prev_end = e
         if regions and regions[-1][1] > self.total_duration_sec + _GRID_EPS:

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestReferenceAnnotation:
     def test_region_past_end_rejected(self):
         with pytest.raises(ValueError):
             ReferenceAnnotation(speech_regions=((1.0, 6.0),), total_duration_sec=5.0)
+
+    @pytest.mark.parametrize("regions, named", [
+        (((float("nan"), 1.0),), "(nan, 1.0)"),
+        (((0.5, float("nan")), (0.7, 0.9)), "(0.5, nan)"),
+    ])
+    def test_nan_bound_rejected(self, regions, named):
+        with pytest.raises(ValueError, match=re.escape(f"non-empty: {named}")):
+            ReferenceAnnotation(speech_regions=regions, total_duration_sec=2.0)
 
     def test_frame_spans(self):
         ref = ReferenceAnnotation(speech_regions=((1.0, 2.0),), total_duration_sec=3.0)

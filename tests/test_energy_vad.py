@@ -55,6 +55,12 @@ def test_empty_audio_raises():
         energy_vad(np.array([]), SR, FRAME_MS, threshold=0.01)
 
 
+def test_nan_threshold_raises():
+    # no frame's energy exceeds NaN, so it would silently find no speech
+    with pytest.raises(ValueError, match="threshold"):
+        energy_vad(np.ones(SR), SR, FRAME_MS, threshold=float("nan"))
+
+
 def test_audio_shorter_than_one_frame_yields_nothing():
     assert energy_vad(np.full(FRAME_LEN - 1, 0.5), SR, FRAME_MS, threshold=0.01) == []
 
