@@ -25,13 +25,12 @@ _EXPORTS = {
                "InvalidConfig", "InvalidState", "NonFiniteScore", "ProbabilityOutOfRange",
                "RowError", "RowSumViolation", "TruncatedFile",
                "VersionMismatch"),
-    "greedy": ("greedy_decode", "greedy_label"),
     "io": ("PosteriorReader", "read_annotation", "read_posterior_file", "read_wav_mono",
            "write_posteriors", "write_segments"),
     "scoring": ("EvalReport", "evaluate", "measure_rtf"),
     "segmenter": ("OnlineSegmenter", "encoded_length", "filter_short_segments",
-                  "min_length_filter", "segment_offline", "segment_posteriors",
-                  "segments_from_events"),
+                  "greedy_decode", "greedy_label", "min_length_filter", "segment_offline",
+                  "segment_posteriors", "segments_from_events"),
     "simulate": ("synthesize_posteriors",),
 }
 

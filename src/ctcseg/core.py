@@ -32,14 +32,14 @@ def check_layout(num_labels: int, blank_id: int, frame_shift_ms: float,
                  subsample_factor: int) -> None:
     """Check a stream description; raise InvalidConfig naming the first bad field.
 
-    A valid stream has a valid layout (this check) and valid rows (validate_rows).
+    A valid stream has a layout the CTCP header holds (this check) and valid rows (validate_rows).
     """
-    if num_labels < 1:
-        raise InvalidConfig(f"num_labels must be >= 1, got {num_labels}")
+    if not 1 <= num_labels < 2**32:
+        raise InvalidConfig(f"num_labels must be in [1, 2**32), got {num_labels}")
     if not 0 <= blank_id < num_labels:
         raise InvalidConfig(f"blank_id {blank_id} out of range for {num_labels} labels")
-    if subsample_factor < 1:
-        raise InvalidConfig(f"subsample_factor must be >= 1, got {subsample_factor}")
+    if not 1 <= subsample_factor < 2**32:
+        raise InvalidConfig(f"subsample_factor must be in [1, 2**32), got {subsample_factor}")
     with np.errstate(over="ignore"):  # as the CTCP header's f32: 1e40 reads inf, 1e-46 reads 0
         shift = np.float32(frame_shift_ms)
     if not 0 < shift < math.inf:  # NaN fails too
@@ -48,8 +48,8 @@ def check_layout(num_labels: int, blank_id: int, frame_shift_ms: float,
 
 def steps_in(duration_sec: float, frame_shift_ms: float, subsample_factor: int,
              num_labels: int) -> int:
-    """Whole steps in duration_sec, raw frames rounded half to even; at most 2**32 - 1,
-    and no more than physical memory holds as float32 rows of num_labels scores."""
+    """Whole steps in duration_sec, raw frames rounded half to even; at most 2**32 - 1, and
+    no more than physical memory holds as float32 rows of num_labels scores (one at least)."""
     steps = round(duration_sec * 1000.0 / frame_shift_ms, 0) // subsample_factor
     if not steps < 2**32:  # the CTCP header's u32; as floats, so inf and NaN fail too
         raise InvalidConfig(f"{duration_sec} s at {frame_shift_ms} ms must be < 2**32 steps")
@@ -58,8 +58,9 @@ def steps_in(duration_sec: float, frame_shift_ms: float, subsample_factor: int,
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # not POSIX: the u32 rule alone
         memory = math.inf
-    if steps * num_labels * 4 > memory:  # in ints, which no label count overflows
-        raise InvalidConfig(f"{steps} steps x {num_labels} labels of float32 exceed "
+    # Every builder allocates a row template, even at 0 steps; in ints, which nothing overflows.
+    if (rows := max(steps, 1)) * num_labels * 4 > memory:
+        raise InvalidConfig(f"{rows} rows x {num_labels} labels of float32 exceed "
                             f"the {memory} bytes of physical memory")
     return steps
 

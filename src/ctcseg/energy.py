@@ -25,8 +25,8 @@ def energy_vad(samples: np.ndarray, sample_rate_hz: int, frame_ms: float,
         raise ValueError("samples must be mono (1-D)")
     if frame_ms <= 0:
         raise ValueError(f"frame_ms must be positive, got {frame_ms}")
-    if np.isnan(threshold):
-        raise ValueError("threshold must be a number, got nan")
+    if not 0 <= threshold < np.inf:  # a mean-square energy is >= 0; NaN fails too
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     if hangover_frames < 0:
         raise ValueError(f"hangover_frames must be non-negative, got {hangover_frames}")
     if samples.dtype.kind == "i":

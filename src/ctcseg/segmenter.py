@@ -1,6 +1,7 @@
-"""Blank-run segmentation: one gap rule, fed in blocks, for offline and online use.
+"""Greedy decoding and blank-run segmentation: one gap rule, fed in blocks, offline and online.
 
-The rule works on the greedy label of each subsampled step k. A segment
+greedy_decode() and greedy_label() give the greedy label of each subsampled
+step k: its score vector's argmax. The rule works on those labels. A segment
 opens at a non-blank step. It ends once v_threshold (V) consecutive
 blanks follow its last non-blank step k_last, so its close fires at step
 k_last + V; a non-blank step more than V steps after k_last therefore
@@ -24,9 +25,26 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
+import numpy as np
+
 from .core import EventKind, LabelStream, PosteriorStream, Segment, SegmentEvent, SegmenterConfig
 from .errors import InvalidConfig, InvalidState
-from .greedy import greedy_decode
+
+
+def greedy_decode(stream: PosteriorStream) -> LabelStream:
+    """Per-step argmax over the score vectors.
+
+    Works identically on probabilities and pre-softmax scores (argmax is
+    invariant under any strictly monotone transform). Ties break to the
+    lowest label ID. A zero-row stream gives zero labels.
+    """
+    labels = np.argmax(stream.frames, axis=1)
+    return LabelStream(labels=labels, blank_id=stream.blank_id)
+
+
+def greedy_label(scores: np.ndarray) -> int:
+    """Argmax of a single score vector; the incremental unit of greedy_decode."""
+    return int(np.argmax(scores))
 
 
 def min_length_filter(output_len: int, encoded_len: int, alpha: float) -> bool:

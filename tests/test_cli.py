@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -753,6 +754,9 @@ COMPARE = [*EVAL, "--compare", "--wav", "{wav}"]
     pytest.param(EVAL, {"ref": b'{"duration_sec": Infinity, "regions": []}'},
                  id="annotation-infinite-duration"),
     pytest.param([*COMPARE, "--energy-threshold", "nan"], {}, id="energy-threshold-nan"),
+    # a mean-square energy is never below 0: -1 marks every frame as speech, inf none
+    *(pytest.param([*COMPARE, f"--energy-threshold={threshold}"], {},
+                   id=f"energy-threshold-{threshold}") for threshold in ("-1", "inf")),
     pytest.param(COMPARE, {"wav": b"not a wav file"}, id="wav-not-riff"),
     pytest.param(COMPARE, {"wav": b"RIFF"}, id="wav-bare-riff"),
     pytest.param(COMPARE, {"wav": _wav_at_rate_zero()}, id="wav-rate-zero"),
@@ -767,10 +771,24 @@ COMPARE = [*EVAL, "--compare", "--wav", "{wav}"]
                  id="bench-rows-exceed-memory"),
     pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}",
                   "--num-labels", "4000000000"], {}, id="simulate-rows-exceed-memory"),
+    # the CTCP header holds num_labels and subsample_factor as u32
+    pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}", "-r", "4294967296"],
+                 {}, id="simulate-subsample-2**32"),
+    pytest.param(["bench", "--duration", "2", "--repeat", "1", "-r", "4294967296"], {},
+                 id="bench-subsample-2**32"),
+    # zero steps still make one row of num_labels scores
+    *(pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}",
+                    "--num-labels", labels], {"ref": b'{"duration_sec": 0.001, "regions": []}'},
+                   id=f"simulate-zero-steps-labels-{labels}")
+      for labels in ("4294967296", "4294967295")),
+    pytest.param(["bench", "--duration", "0.001", "--repeat", "1", "--num-labels", "4294967296"],
+                 {}, id="bench-zero-steps-labels-2**32"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
-def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, write_annotation,
+def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, monkeypatch, write_annotation,
                                                  write_wav, argv, bad_files):
+    # 8 GiB of physical memory, so that no row's outcome depends on this machine's
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}.get)
     ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)
     paths = {"ctcp": ctcp, "ref": ref, "wav": write_wav(np.zeros(32000)),
              "out": tmp_path / "out.ctcp"}
@@ -782,6 +800,40 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, write_annotat
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert not paths["out"].exists()
+
+
+def _numeric_flags():
+    """(command, long flag, type) for every int and float flag of every command."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(command, max(action.option_strings, key=len), action.type)
+            for command, parser in commands.items() for action in parser._actions
+            if action.type in (int, float)]
+
+
+FLAG_VALUES = {int: (-1, 0, 2**32, 2**63), float: ("nan", "-inf", "inf", "1e40")}
+
+
+@pytest.mark.parametrize("command, flag, kind",
+                         [pytest.param(*f, id=f"{f[0]}{f[1]}") for f in _numeric_flags()])
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
+def test_every_numeric_flag_at_its_extremes_exits_cleanly(tmp_path, capsys, write_annotation,
+                                                          write_wav, command, flag, kind):
+    ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)
+    wav = write_wav(np.zeros(32000))
+    base = {"segment": ["segment", "--input", str(ctcp)],
+            "eval": ["eval", "--input", str(ctcp), "--ref", str(ref), "--compare", "--wav",
+                     str(wav)],
+            "simulate": ["simulate", "--annotation", str(ref), "--output",
+                         str(tmp_path / "out.ctcp")],
+            "bench": ["bench", "--duration", "2", "--repeat", "1", "--num-labels", "8"]}[command]
+    for value in FLAG_VALUES[kind]:
+        if flag == "--repeat" and int(value) > 2:  # valid, only long
+            continue
+        code, out, err = run_cli([*base, f"{flag}={value}"], capsys)  # the last flag wins
+        assert code in (0, 1, 2) and "Traceback" not in err, (value, code, err)
+        if code == 1:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, (value, err)
 
 
 @pytest.mark.parametrize("command", ["simulate", "eval"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ctcseg import (EventKind, InvalidConfig, LabelStream, PosteriorStream,
                     ReferenceAnnotation, Segment, SegmentEvent, SegmenterConfig,
                     segment_offline, segments_from_events)
-from ctcseg.core import steps_in
+from ctcseg.core import check_layout, steps_in
 
 
 def _segments(labels, r, onset=0, offset=0, total=None):
@@ -93,6 +93,11 @@ class TestPosteriorStream:
         with pytest.raises(InvalidConfig):
             PosteriorStream(frames=np.array([[1.0, 0.0]], dtype=np.float32),
                             subsample_factor=0)
+
+    def test_subsample_factor_must_fit_the_header_u32(self):
+        with pytest.raises(InvalidConfig, match="subsample_factor"):
+            PosteriorStream(frames=np.array([[1.0, 0.0]], dtype=np.float32),
+                            subsample_factor=2**32)
 
     def test_blank_must_be_in_alphabet(self):
         with pytest.raises(InvalidConfig):
@@ -213,3 +218,26 @@ def test_steps_in_refuses_rows_that_exceed_physical_memory(monkeypatch):
     assert steps_in(10.0, 10.0, 1, 2**40) == 1000
     with pytest.raises(InvalidConfig, match="2\\*\\*32"):
         steps_in(2**32 * 0.01, 10.0, 1, 1)
+
+
+def test_steps_in_counts_one_row_at_zero_steps(monkeypatch):
+    # every builder allocates a row template, so a row wider than memory is refused at 0 steps
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.get)
+    assert steps_in(0.0, 10.0, 1, 1_024_000) == 0
+    with pytest.raises(InvalidConfig, match="physical memory"):
+        steps_in(0.0, 10.0, 1, 1_024_001)
+
+
+@pytest.mark.parametrize("layout, named", [
+    pytest.param((2**32, 0, 10.0, 1), "num_labels", id="labels-2**32"),
+    pytest.param((2**32 - 1, 0, 10.0, 2**32), "subsample_factor", id="subsample-2**32"),
+    pytest.param((0, 0, 10.0, 1), "num_labels", id="labels-0"),
+    pytest.param((2, 0, 10.0, 0), "subsample_factor", id="subsample-0"),
+])
+def test_check_layout_refuses_what_the_header_u32_cannot_hold(layout, named):
+    with pytest.raises(InvalidConfig, match=named):
+        check_layout(*layout)
+
+
+def test_check_layout_accepts_the_largest_u32_layout():
+    check_layout(2**32 - 1, 2**32 - 2, 10.0, 2**32 - 1)

@@ -61,6 +61,18 @@ def test_nan_threshold_raises():
         energy_vad(np.ones(SR), SR, FRAME_MS, threshold=float("nan"))
 
 
+@pytest.mark.parametrize("threshold", [-1.0, -np.inf, np.inf])
+def test_threshold_must_be_finite_and_non_negative(threshold):
+    # a mean-square energy is never below 0: -1 would mark every frame as speech, inf none
+    with pytest.raises(ValueError, match="threshold"):
+        energy_vad(np.ones(SR), SR, FRAME_MS, threshold=threshold)
+
+
+def test_zero_threshold_marks_every_non_silent_frame():
+    segs = energy_vad(_signal(10, [(3, 5)]), SR, FRAME_MS, threshold=0.0)
+    assert [(s.t_start, s.t_end) for s in segs] == [(4, 6)]
+
+
 def test_audio_shorter_than_one_frame_yields_nothing():
     assert energy_vad(np.full(FRAME_LEN - 1, 0.5), SR, FRAME_MS, threshold=0.01) == []
 

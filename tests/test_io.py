@@ -128,6 +128,15 @@ class TestRoundTrip:
         back = read_posterior_file(path)
         assert np.array_equal(back.frames, stream.frames)
 
+    def test_largest_u32_subsample_factor_round_trips(self):
+        stream = stream_from_labels(FIG1_LABELS, FIG1_NUM_LABELS, subsample_factor=2**32 - 1)
+        sink = io.BytesIO()
+        write_posteriors(stream, sink)
+        back = PosteriorReader(io.BytesIO(sink.getvalue())).to_stream()
+        assert back.subsample_factor == 2**32 - 1
+        assert back.total_feature_frames == len(FIG1_LABELS) * (2**32 - 1)
+        assert np.array_equal(back.frames, stream.frames)
+
     def test_empty_stream_round_trip(self, tmp_path):
         stream = PosteriorStream(frames=np.empty((0, 5), dtype=np.float32))
         path = tmp_path / "empty.ctcp"

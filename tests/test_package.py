@@ -94,7 +94,7 @@ def test_segment_imports_only_what_it_needs(zero_pair):
     """)
     assert out == {"code": 0, "stdlib": [],
                    "modules": ["ctcseg", "ctcseg.cli", "ctcseg.core", "ctcseg.errors",
-                               "ctcseg.greedy", "ctcseg.io", "ctcseg.segmenter"]}
+                               "ctcseg.io", "ctcseg.segmenter"]}
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
