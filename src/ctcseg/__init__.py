@@ -27,10 +27,10 @@ _EXPORTS = {
                "VersionMismatch"),
     "io": ("PosteriorReader", "read_annotation", "read_posterior_file", "read_wav_mono",
            "write_posteriors", "write_segments"),
-    "scoring": ("EvalReport", "evaluate", "measure_rtf"),
-    "segmenter": ("OnlineSegmenter", "encoded_length", "filter_short_segments",
-                  "greedy_decode", "greedy_label", "min_length_filter", "segment_offline",
-                  "segment_posteriors", "segments_from_events"),
+    "scoring": ("EvalReport", "evaluate"),
+    "segmenter": ("OnlineSegmenter", "filter_short_segments", "greedy_decode", "greedy_label",
+                  "min_length_filter", "segment_offline", "segment_posteriors",
+                  "segments_from_events"),
     "simulate": ("synthesize_posteriors",),
 }
 

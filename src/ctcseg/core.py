@@ -151,10 +151,6 @@ class PosteriorStream:
     def total_feature_frames(self) -> int:
         return self.num_steps * self.subsample_factor
 
-    @property
-    def duration_sec(self) -> float:
-        return self.total_feature_frames * self.frame_shift_ms / 1000.0
-
 
 @dataclass(frozen=True)
 class LabelStream:

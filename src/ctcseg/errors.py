@@ -14,7 +14,7 @@ class InvalidConfig(CtcSegError):
 
 
 class InvalidState(CtcSegError):
-    """An online segmenter was stepped or finished again after finish() without reset()."""
+    """An online segmenter was stepped or finished again after finish()."""
 
 
 class FormatError(CtcSegError):

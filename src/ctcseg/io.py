@@ -62,9 +62,9 @@ class PosteriorReader:
     """Incremental CTCP reader over a binary file object.
 
     Parses and validates the header eagerly. One loop then reads the rows into
-    a buffer of about BLOCK_BYTES, and check() validates each row once; blocks(),
-    labels(), rows() and to_stream() are views of that path. Memory is bounded by
-    the buffer size, never by the sizes the header declares.
+    a buffer of about BLOCK_BYTES, and check() validates each row once; labels(),
+    rows() and to_stream() are views of that path. Memory is bounded by the
+    buffer size, never by the sizes the header declares.
     """
 
     def __init__(self, fileobj: BinaryIO):
@@ -144,22 +144,6 @@ class PosteriorReader:
                       first_row=self._first + self._checked + 1)
         self._checked = self._handed
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """Validated (n, num_labels) float32 blocks of consecutive rows, n >= 1.
-
-        A block is one read's new rows, checked before it is yielded: a view of a
-        reusable buffer, valid until the next block is requested. On a bad row the
-        rows before it come first as a block of their own, then its RowError.
-        """
-        for block in self._reads():
-            try:
-                self.check()
-            except RowError as exc:
-                if good := exc.row - self._first - self._checked - 1:
-                    yield block[:good]
-                raise
-            yield block
-
     def labels(self) -> Iterator[np.ndarray]:
         """Greedy label IDs (per-row argmax, ties to the lowest ID), one array per read.
 
@@ -171,14 +155,22 @@ class PosteriorReader:
             yield rows.argmax(axis=1)
 
     def rows(self) -> Iterator[np.ndarray]:
-        """One f32 vector per declared row; each is a copy, safe to keep."""
-        for block in self.blocks():
+        """One checked f32 vector per declared row; each is a copy, safe to keep.
+
+        On a bad row the rows before it come first, then its RowError.
+        """
+        for block in self._reads():
+            try:
+                self.check()
+            except RowError as exc:
+                yield from block[:exc.row - self._first - self._checked - 1].copy()
+                raise
             yield from block.copy()
 
     def to_stream(self) -> PosteriorStream:
-        """Drain all rows into a PosteriorStream."""
+        """Drain all rows into a PosteriorStream; the reader checks them all before it ends."""
         frames = np.concatenate([np.empty((0, self.num_labels), dtype=np.float32),
-                                 *(block.copy() for block in self.blocks())])
+                                 *(block.copy() for block in self._reads())])
         return PosteriorStream(
             frames=frames,
             frame_shift_ms=self.frame_shift_ms,

@@ -1,10 +1,8 @@
-"""Frame-level segmentation metrics and real-time-factor measurement."""
+"""Frame-level segmentation metrics."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +23,6 @@ class EvalReport:
     boundary_mae_frames: float
     n_hyp_segments: int
     n_ref_segments: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate(hyp: list[Segment], ref: ReferenceAnnotation, frame_shift_ms: float,
@@ -61,15 +56,6 @@ def evaluate(hyp: list[Segment], ref: ReferenceAnnotation, frame_shift_ms: float
         n_hyp_segments=len(hyp_spans),
         n_ref_segments=len(ref_spans),
     )
-
-
-def measure_rtf(work: Callable[[], object], audio_duration_sec: float) -> float:
-    """Wall-clock seconds spent in work() divided by the audio duration."""
-    if audio_duration_sec <= 0:
-        raise ValueError(f"audio_duration_sec must be positive, got {audio_duration_sec}")
-    t0 = time.perf_counter()
-    work()
-    return (time.perf_counter() - t0) / audio_duration_sec
 
 
 def _span_mask(spans: list[tuple[int, int]], total_frames: int) -> np.ndarray:

@@ -94,21 +94,17 @@ def segment_offline(labels: LabelStream, cfg: SegmenterConfig, total_feature_fra
     return segments_from_events(events, cfg, total_feature_frames)
 
 
-def encoded_length(segment: Segment, r: int) -> int:
-    """Expanded feature span measured in subsampled steps (ceil division)."""
-    return -(-segment.num_feature_frames // r)
-
-
 def filter_short_segments(segments: list[Segment], cfg: SegmenterConfig) -> list[Segment]:
     """Drop segments whose collapsed transcript is too short for their span.
 
     output_len is the segment's transcript_len, encoded_len the expanded span
-    in subsampled steps; kept segments are reindexed 1..n. A transcript_len of
-    0, as on every energy_vad segment, is rejected at any ratio, 0.0 included.
+    in subsampled steps, rounded up; kept segments are reindexed 1..n. A
+    transcript_len of 0, as on every energy_vad segment, is rejected at any
+    ratio, 0.0 included.
     """
     r, alpha = cfg.subsample_factor, cfg.min_len_ratio
-    return _reindex([seg for seg in segments
-                     if min_length_filter(seg.transcript_len, encoded_length(seg, r), alpha)])
+    return _reindex([seg for seg in segments if min_length_filter(
+        seg.transcript_len, -(-seg.num_feature_frames // r), alpha)])
 
 
 class OnlineSegmenter:
@@ -116,16 +112,13 @@ class OnlineSegmenter:
 
     push() returns the events fired by the next steps' labels, in step
     order; step() pushes one label. Call finish(total_feature_frames)
-    exactly once at end of stream to flush a segment still open; reset()
-    rearms the instance for a new stream.
+    exactly once at end of stream to flush a segment still open; a new
+    stream takes a new OnlineSegmenter.
     """
 
     def __init__(self, cfg: SegmenterConfig, frame_shift_ms: float = 10.0):
         self.cfg = cfg
         self.frame_shift_ms = frame_shift_ms
-        self.reset()
-
-    def reset(self) -> None:
         self._k = 0           # steps seen
         self._k_last = 0      # last non-blank step
         self._prev = -1       # label at k_last; -1 before the first one
@@ -142,7 +135,7 @@ class OnlineSegmenter:
     def push(self, labels: Sequence[int]) -> list[SegmentEvent]:
         """Feed the greedy labels of the next steps; returns their events in step order."""
         if self._finished:
-            raise InvalidState("push() after finish(); call reset() first")
+            raise InvalidState("push() after finish(); start a new OnlineSegmenter")
         blank = self.cfg.blank_id
         v = self.cfg.v_threshold
         k0, k_last, prev, out_len, is_open = (self._k, self._k_last, self._prev,
@@ -172,7 +165,7 @@ class OnlineSegmenter:
     def finish(self, total_feature_frames: int) -> list[SegmentEvent]:
         """Flush an open segment at end of stream; t_end is clipped to the stream."""
         if self._finished:
-            raise InvalidState("finish() called twice; call reset() first")
+            raise InvalidState("finish() called twice; start a new OnlineSegmenter")
         _check_stream_extent(self._k, self.cfg.subsample_factor, total_feature_frames)
         self._finished = True
         if not self._open:

@@ -37,14 +37,16 @@ def synthesize_posteriors(ref: ReferenceAnnotation, cfg: SegmenterConfig,
         raise InvalidConfig(
             f"spike_gap_max {spike_gap_max} must stay below v_threshold {cfg.v_threshold}"
         )
-    if jitter_steps < 0:
-        raise InvalidConfig(f"jitter_steps must be non-negative, got {jitter_steps}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     num_labels = ref.label_alphabet_size
     check_layout(num_labels, cfg.blank_id, frame_shift_ms, cfg.subsample_factor)
 
     r = cfg.subsample_factor
     step_ms = r * frame_shift_ms
     num_steps = steps_in(ref.total_duration_sec, frame_shift_ms, r, num_labels)
+    if not 0 <= jitter_steps <= num_steps:  # a larger shift only clamps more spikes to the ends
+        raise InvalidConfig(f"jitter_steps must be in [0, {num_steps}], got {jitter_steps}")
     rng = np.random.default_rng(seed)
 
     spikes: dict[int, int] = {}

@@ -1,11 +1,13 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 
-from ctcseg import LabelStream, SegmenterConfig, measure_rtf, segment_offline
+from ctcseg import LabelStream, SegmenterConfig, segment_offline
 from ctcseg.cli import main
 
 
@@ -23,8 +25,18 @@ def test_offline_segmentation_rtf_regression_bound():
     labels = LabelStream(rng.choice(4, size=15_000, p=[0.7, 0.1, 0.1, 0.1]),
                          blank_id=0)
     cfg = SegmenterConfig(subsample_factor=4, blank_id=0)
-    rtf = measure_rtf(lambda: segment_offline(labels, cfg, 60_000), 600.0)
-    assert rtf < 0.01
+    start = time.perf_counter()
+    segment_offline(labels, cfg, 60_000)
+    assert (time.perf_counter() - start) / 600.0 < 0.01
+
+
+def test_rtf_is_one_runs_wall_time_over_the_audio_time(monkeypatch, capsys):
+    # a clock that advances 0.25 s per reading: each run reads it once before, once after
+    monkeypatch.setattr(time, "perf_counter", itertools.count(0.0, 0.25).__next__)
+    assert main(["bench", "--duration", "6", "--num-labels", "20", "--repeat", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["audio_sec"] == 6.0
+    assert report["rtf_runs"] == [0.25 / 6.0] * 3
 
 
 def test_explicit_tuned_flags_match_the_defaults(tmp_path, capsys):

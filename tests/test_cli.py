@@ -417,7 +417,7 @@ def test_every_row_is_validated_exactly_once(tmp_path, capsys, monkeypatch, writ
     stream = stream_from_labels(labels, 4, subsample_factor=4)
     ctcp = tmp_path / "in.ctcp"
     write_posteriors(stream, ctcp)
-    ref = write_annotation([], stream.duration_sec)
+    ref = write_annotation([], stream.total_feature_frames * 10.0 / 1000.0)  # 10 ms frames
     monkeypatch.setattr(sys, "stdin", PacedStdin(ctcp.read_bytes(), 16))
     if block_rows:  # the buffer is reused every 10 rows, across the 6-row reads
         monkeypatch.setattr(ctcseg.io, "BLOCK_BYTES", block_rows * 16)
@@ -738,6 +738,12 @@ EVAL = ["eval", "--input", "{ctcp}", "--ref", "{ref}"]
 COMPARE = [*EVAL, "--compare", "--wav", "{wav}"]
 
 
+# What the error line of a row must say, by row id, where one line alone is not enough.
+NAMED_IN_ERROR = {"simulate-jitter-2**63": f"jitter_steps must be in [0, 50], got {2**63}",
+                  "simulate-seed--1": "seed must be non-negative, got -1",
+                  "bench-seed--1": "seed must be non-negative, got -1"}
+
+
 # argv with {ctcp}/{ref}/{wav}/{out} placeholders, and the bad bytes that replace a
 # valid input; {out} names an output file that must never be written.
 @pytest.mark.parametrize("argv, bad_files", [
@@ -783,10 +789,17 @@ COMPARE = [*EVAL, "--compare", "--wav", "{wav}"]
       for labels in ("4294967296", "4294967295")),
     pytest.param(["bench", "--duration", "0.001", "--repeat", "1", "--num-labels", "4294967296"],
                  {}, id="bench-zero-steps-labels-2**32"),
+    # numpy's own messages name neither the flag nor the value (see NAMED_IN_ERROR)
+    pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}",
+                  "--jitter=9223372036854775808"], {}, id="simulate-jitter-2**63"),
+    pytest.param(["simulate", "--annotation", "{ref}", "--output", "{out}", "--seed=-1"], {},
+                 id="simulate-seed--1"),
+    pytest.param(["bench", "--duration", "2", "--repeat", "1", "--seed=-1"], {},
+                 id="bench-seed--1"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
-def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, monkeypatch, write_annotation,
-                                                 write_wav, argv, bad_files):
+def test_bad_input_exits_one_with_one_error_line(request, tmp_path, capsys, monkeypatch,
+                                                 write_annotation, write_wav, argv, bad_files):
     # 8 GiB of physical memory, so that no row's outcome depends on this machine's
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}.get)
     ctcp, ref = _aligned_eval_pair(tmp_path, write_annotation)
@@ -799,6 +812,7 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, monkeypatch, 
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert NAMED_IN_ERROR.get(request.node.callspec.id, "error:") in err
     assert not paths["out"].exists()
 
 

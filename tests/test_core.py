@@ -109,7 +109,6 @@ class TestPosteriorStream:
         assert stream.num_steps == 5
         assert stream.num_labels == 3
         assert stream.total_feature_frames == 20
-        assert stream.duration_sec == pytest.approx(0.2)
 
 
 class TestLabelStream:

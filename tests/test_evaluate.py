@@ -1,11 +1,11 @@
-import time
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctcseg import EvalReport, ReferenceAnnotation, Segment, evaluate, measure_rtf
+from ctcseg import EvalReport, ReferenceAnnotation, Segment, evaluate
 from ctcseg.scoring import _boundary_mae
 
 
@@ -101,22 +101,9 @@ class TestEvaluate:
 
     def test_report_dict_round_trip(self):
         rep = EvalReport(1.0, 0.5, 2 / 3, 0.0, 1, 2)
-        d = rep.as_dict()
+        d = dataclasses.asdict(rep)
         assert d["frame_recall"] == 0.5
         assert "rtf" not in d
-
-
-class TestMeasureRtf:
-    def test_no_work_is_near_zero(self):
-        assert measure_rtf(lambda: None, 10.0) < 0.01
-
-    def test_definition_processing_over_audio(self):
-        rtf = measure_rtf(lambda: time.sleep(0.05), 0.25)
-        assert 0.15 < rtf < 1.0
-
-    def test_duration_must_be_positive(self):
-        with pytest.raises(ValueError):
-            measure_rtf(lambda: None, 0.0)
 
 
 def boundary_mae_all_pairs(hyp_spans, ref_spans):

@@ -1,7 +1,9 @@
-"""The lazy package and the CLI's imports, each checked in a fresh interpreter."""
+"""The lazy package, its export table, and the CLI's imports checked in a fresh interpreter."""
 
+import ast
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -38,6 +40,25 @@ def test_all_is_derived_from_the_export_table():
     names = [n for names in ctcseg._EXPORTS.values() for n in names]
     assert len(names) == len(set(names))
     assert ctcseg.__all__ == sorted(names)
+
+
+def test_every_export_has_a_src_caller_or_is_documented():
+    # A public name earns its place by a use in src/ctcseg (a name or an attribute, not a
+    # docstring) or by a mention in the README's "Library use" section.
+    package = Path(ctcseg.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+    library_use = readme.split("\n## Library use\n")[1].split("\n## ")[0]
+    unused = [name for name in ctcseg.__all__
+              if name not in used and not re.search(rf"\b{name}\b", library_use)]
+    assert unused == []
 
 
 def test_import_loads_no_numpy():

@@ -146,6 +146,8 @@ class TestBlocks:
             for row in PosteriorReader(io.BytesIO(ctcp(rows))).rows():
                 seen.append(row)
         assert np.array_equal(np.stack(seen), rows[:4])
+        with pytest.raises(RowSumViolation, match="row 5"):
+            PosteriorReader(io.BytesIO(ctcp(rows))).to_stream()
 
     def test_truncation_offset_counts_every_byte_read(self, small_blocks):
         data = ctcp(one_hot_rows(self.LABELS, 4))[:-6]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcseg import (EventKind, InvalidConfig, InvalidState, LabelStream, OnlineSegmenter,
-                    SegmenterConfig, encoded_length, energy_vad, filter_short_segments,
+                    Segment, SegmenterConfig, energy_vad, filter_short_segments,
                     min_length_filter, segment_offline, segment_posteriors,
                     segments_from_events)
 
@@ -115,10 +115,13 @@ class TestMinLengthFilter:
         cfg = SegmenterConfig(subsample_factor=1, min_len_ratio=0.0)
         assert filter_short_segments(segs, cfg) == []
 
-    def test_encoded_length_is_ceil_of_span(self):
-        segs = segment_offline(LabelStream(FIG1_LABELS, blank_id=0), FIG1_CFG, 28)
-        assert encoded_length(segs[0], 2) == 7   # 13 frames at r=2
-        assert encoded_length(segs[1], 2) == 4   # 7 frames at r=2
+    def test_filter_rounds_the_span_up_to_whole_steps(self):
+        # 13 frames at r=2 are 7 steps, so a transcript of 1 sits on the 1/7 bound and is
+        # rejected; 6 steps, the span rounded down, would keep it
+        seg = Segment(index=1, k_first_nonblank=1, k_last_nonblank=1, t_start=1, t_end=13,
+                      transcript_len=1)
+        cfg = SegmenterConfig(subsample_factor=2, min_len_ratio=1 / 7)
+        assert filter_short_segments([seg], cfg) == []
 
 
 class TestOnlineSegmenter:
@@ -162,7 +165,7 @@ class TestOnlineSegmenter:
     def test_step_after_finish_raises(self):
         seg = OnlineSegmenter(FIG1_CFG)
         seg.finish(0)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidState, match="start a new OnlineSegmenter"):
             seg.step(0)
         with pytest.raises(InvalidState):
             seg.push([])
@@ -170,17 +173,8 @@ class TestOnlineSegmenter:
     def test_finish_twice_raises(self):
         seg = OnlineSegmenter(FIG1_CFG)
         seg.finish(0)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidState, match="start a new OnlineSegmenter"):
             seg.finish(0)
-
-    def test_reset_rearms(self):
-        seg = OnlineSegmenter(FIG1_CFG)
-        seg.step(1)
-        seg.finish(2)
-        seg.reset()
-        events = seg.step(1)
-        assert events[0].kind is EventKind.OPEN
-        assert events[0].index == 1
 
     def test_close_latency_equals_threshold(self):
         rng = np.random.default_rng(11)
