@@ -22,7 +22,9 @@ complete rows, so file and stream ingestion share a single reader.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import suppress
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, TextIO
 
@@ -58,13 +60,24 @@ def _readinto(fileobj) -> Callable[[memoryview], int]:
             or _into(fileobj.read))
 
 
+def _when_ready(readinto: Callable[[memoryview], int | None], fd: int) -> Callable[..., int]:
+    """The readinto of a non-blocking fd, made to wait while nothing is ready (a None)."""
+    import select  # only a non-blocking source needs it
+    (ready := select.poll()).register(fd, select.POLLIN)
+    def readinto_when_ready(view: memoryview) -> int:
+        while (n := readinto(view)) is None:
+            ready.poll()
+        return n
+    return readinto_when_ready
+
+
 class PosteriorReader:
     """Incremental CTCP reader over a binary file object.
 
-    Parses and validates the header eagerly. One loop then reads the rows into
-    a buffer of about BLOCK_BYTES, and check() validates each row once; labels(),
-    rows() and to_stream() are views of that path. Memory is bounded by the
-    buffer size, never by the sizes the header declares.
+    Parses and validates the header eagerly. One loop then reads the rows into a
+    buffer of about BLOCK_BYTES, which bounds memory, never the header's sizes; check()
+    validates each row labels() and rows() hand on once. to_stream() gathers the rows
+    in one buffer of the stream's size and leaves their one check to PosteriorStream.
     """
 
     def __init__(self, fileobj: BinaryIO):
@@ -73,6 +86,9 @@ class PosteriorReader:
         # size asked; readinto1 would fill that buffer with row bytes, and the row loop
         # would then wait on one more raw read before handing those rows on.
         read = _into(fileobj.read1) if hasattr(fileobj, "read1") else self._readinto
+        with suppress(AttributeError, OSError):  # no descriptor, as in BytesIO: reads block
+            if not os.get_blocking(fd := fileobj.fileno()):  # read1 gives b'' if none is ready
+                read = self._readinto = _when_ready(self._readinto, fd)
         raw = memoryview(bytearray(HEADER_SIZE))
         got = 0
         while got < HEADER_SIZE and (n := read(raw[got:])):
@@ -168,16 +184,20 @@ class PosteriorReader:
             yield from block.copy()
 
     def to_stream(self) -> PosteriorStream:
-        """Drain all rows into a PosteriorStream; the reader checks them all before it ends."""
-        frames = np.concatenate([np.empty((0, self.num_labels), dtype=np.float32),
-                                 *(block.copy() for block in self._reads())])
-        return PosteriorStream(
-            frames=frames,
-            frame_shift_ms=self.frame_shift_ms,
-            subsample_factor=self.subsample_factor,
-            blank_id=self.blank_id,
-            presoftmax=not self.probabilities,
-        )
+        """Drain the rows into a PosteriorStream; it alone checks them, even those before a cut."""
+        data, cut = bytearray(), None
+        try:
+            for block in self._reads():
+                data += block.data
+                self._checked = self._handed  # left to the stream's check
+        except TruncatedFile as exc:
+            cut = exc
+        stream = PosteriorStream(np.frombuffer(data, "<f4").reshape(-1, self.num_labels),
+                                 self.frame_shift_ms, self.subsample_factor, self.blank_id,
+                                 presoftmax=not self.probabilities)
+        if cut:
+            raise cut
+        return stream
 
 
 def read_posterior_file(path: str | Path) -> PosteriorStream:
@@ -187,7 +207,10 @@ def read_posterior_file(path: str | Path) -> PosteriorStream:
 
 
 def write_posteriors(stream: PosteriorStream, sink: str | Path | BinaryIO) -> None:
-    """Write a stream in CTCP layout; write-then-read round-trips bit-exactly."""
+    """Write a stream in CTCP layout; a read gives back its rows bit-exactly and its
+    frame_shift_ms as the header's f32 holds it (33.3 reads 33.29999923706055)."""
+    if stream.num_steps >= 2**32:
+        raise InvalidConfig(f"num_frames must be in [0, 2**32), got {stream.num_steps}")
     flags = 0 if stream.presoftmax else _FLAG_PROBABILITIES
     header = _HEADER.pack(MAGIC, VERSION, flags, 0, stream.num_steps, stream.num_labels,
                           stream.blank_id, stream.frame_shift_ms, stream.subsample_factor)

@@ -1,11 +1,12 @@
 import io
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ctcseg import (BadMagic, FormatError, PosteriorReader, PosteriorStream,
+from ctcseg import (BadMagic, FormatError, InvalidConfig, PosteriorReader, PosteriorStream,
                     RowSumViolation, SegmenterConfig, TruncatedFile,
                     VersionMismatch, filter_short_segments, greedy_label, read_annotation,
                     read_posterior_file, read_wav_mono, OnlineSegmenter, Segment,
@@ -109,17 +110,32 @@ class TestRoundTrip:
     def test_presoftmax_floats_bit_exact(self):
         rng = np.random.default_rng(404)
         frames = rng.normal(scale=30.0, size=(37, 11)).astype(np.float32)
-        stream = PosteriorStream(frames=frames, frame_shift_ms=12.5,
-                                 subsample_factor=3, blank_id=7, presoftmax=True)
-        buf = io.BytesIO()
-        write_posteriors(stream, buf)
-        buf.seek(0)
-        back = PosteriorReader(buf).to_stream()
-        assert back.frames.tobytes() == frames.tobytes()
-        assert back.frame_shift_ms == stream.frame_shift_ms
-        assert back.subsample_factor == 3
-        assert back.blank_id == 7
-        assert back.presoftmax is True
+        # The rows come back bit-exactly; the shift as the header's f32 holds it.
+        for shift, read_shift in [(12.5, 12.5), (33.3, float(np.float32(33.3)))]:
+            stream = PosteriorStream(frames=frames, frame_shift_ms=shift,
+                                     subsample_factor=3, blank_id=7, presoftmax=True)
+            buf = io.BytesIO()
+            write_posteriors(stream, buf)
+            buf.seek(0)
+            back = PosteriorReader(buf).to_stream()
+            assert back.frames.tobytes() == frames.tobytes()
+            assert back.frame_shift_ms == read_shift
+            assert back.subsample_factor == 3
+            assert back.blank_id == 7
+            assert back.presoftmax is True
+
+    def test_2_32_rows_are_refused_before_a_byte_is_written(self, tmp_path):
+        # A stand-in, so that no 16 GiB of rows are allocated.
+        huge = SimpleNamespace(num_steps=2**32, num_labels=2, blank_id=0, frame_shift_ms=10.0,
+                               subsample_factor=1, presoftmax=False,
+                               frames=np.empty((0, 2), dtype=np.float32))
+        sink = io.BytesIO()
+        with pytest.raises(InvalidConfig, match=r"^num_frames must be in \[0, 2\*\*32\)"):
+            write_posteriors(huge, sink)
+        assert sink.getvalue() == b""
+        with pytest.raises(InvalidConfig, match="num_frames"):
+            write_posteriors(huge, tmp_path / "huge.ctcp")
+        assert not (tmp_path / "huge.ctcp").exists()
 
     def test_probability_stream_file_round_trip(self, tmp_path):
         stream = stream_from_labels(FIG1_LABELS, FIG1_NUM_LABELS, subsample_factor=2)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctcseg.core
 import ctcseg.io
 from ctcseg import (FormatError, InvalidConfig, NonFiniteScore, OnlineSegmenter,
                     PosteriorReader, PosteriorStream, ProbabilityOutOfRange, RowSumViolation,
@@ -148,6 +150,25 @@ class TestBlocks:
         assert np.array_equal(np.stack(seen), rows[:4])
         with pytest.raises(RowSumViolation, match="row 5"):
             PosteriorReader(io.BytesIO(ctcp(rows))).to_stream()
+        # A cut in a later block than the bad row: the row's error still comes first.
+        with pytest.raises(RowSumViolation, match="row 5") as info:
+            PosteriorReader(io.BytesIO(ctcp(rows)[:-6])).to_stream()
+        assert info.value.row == 5
+
+    def test_to_stream_checks_each_row_once(self, small_blocks, monkeypatch):
+        seen = []
+
+        def counted(validate_rows):
+            def count(rows, *args, **kwargs):
+                seen.append(len(rows))
+                return validate_rows(rows, *args, **kwargs)
+            return count
+        for module in (ctcseg.io, ctcseg.core):  # the reader's binding and the stream's
+            monkeypatch.setattr(module, "validate_rows", counted(module.validate_rows))
+        rows = one_hot_rows(self.LABELS * 91, 4)  # 1,001 rows in 334 blocks
+        assert PosteriorReader(io.BytesIO(ctcp(rows))).to_stream().frames.tobytes() == \
+            rows.tobytes()
+        assert sum(seen) == len(rows)
 
     def test_truncation_offset_counts_every_byte_read(self, small_blocks):
         data = ctcp(one_hot_rows(self.LABELS, 4))[:-6]
@@ -176,6 +197,31 @@ class TestBlocks:
             for row in PosteriorReader(Trickle(ctcp(rows))).rows():
                 seen.append(row)
         assert np.array_equal(np.stack(seen), rows[:3])
+
+
+def test_to_stream_holds_the_rows_once():
+    rows = one_hot_rows(np.arange(2000) % 7, 1000)  # 8 MB
+    source = io.BytesIO(ctcp(rows))
+    tracemalloc.start()
+    try:
+        stream = PosteriorReader(source).to_stream()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.frames.tobytes() == rows.tobytes()
+    assert peak <= 1.15 * rows.nbytes + ctcseg.io.BLOCK_BYTES
+
+
+def test_a_failed_read_is_not_replaced_by_an_earlier_bad_row():
+    class FailingEnd(io.BytesIO):
+        def readinto1(self, view):
+            if not (n := super().readinto1(view)):
+                raise OSError(5, "Input/output error")
+            return n
+    rows = one_hot_rows([0, 1, 2, 0], 3)
+    rows[1] = 0.5
+    with pytest.raises(OSError, match="Input/output error"):
+        PosteriorReader(FailingEnd(ctcp(rows)[:-4])).to_stream()
 
 
 _header_fields = st.tuples(
@@ -306,3 +352,38 @@ def test_live_pipe_bad_row_is_reported_with_the_next_event_and_no_event_after_it
         proc.wait()
         for stream in (proc.stdin, proc.stdout, proc.stderr):
             stream.close()
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_a_non_blocking_stdin_waits_for_bytes_not_yet_sent(tmp_path, mode):
+    # O_NONBLOCK belongs to the pipe's file description, which the command shares
+    # with whoever set it; a read that finds nothing ready is not the end of the stream.
+    labels = np.random.default_rng(10).choice(5, 2000, p=[0.6, 0.1, 0.1, 0.1, 0.1])
+    data = ctcp(one_hot_rows(labels, 5))
+    path = tmp_path / "rows.ctcp"
+    path.write_bytes(data)
+    command = [sys.executable, "-m", "ctcseg", "segment", "--mode", mode, "-V", "3"]
+    expected = subprocess.run(command + ["--input", str(path)], capture_output=True, timeout=60)
+    assert expected.returncode == 0 and expected.stdout.count(b"\n") > 2, expected.stderr
+    # The writer pauses before the header, inside row 49 and between rows 1000 and 1001.
+    cuts = [0, HEADER.size + 48 * 20 + 7, HEADER.size + 1000 * 20, len(data)]
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    try:
+        proc = subprocess.Popen(command + ["--stream"], stdin=read_end,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    finally:
+        os.close(read_end)
+    try:
+        with os.fdopen(write_end, "wb", buffering=0) as writer:
+            for start, end in itertools.pairwise(cuts):
+                time.sleep(0.3)
+                assert proc.poll() is None, proc.stderr.read()
+                writer.write(data[start:end])
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert (proc.returncode, stdout, stderr) == (0, expected.stdout, b"")
